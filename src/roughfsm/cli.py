@@ -282,9 +282,6 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except (ParseError, SemanticError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except RoughFsmError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -10,11 +10,15 @@ approximations (unions of blocks) are definable.
 Definable sets are stored as frozensets of block ids, never of raw
 states, so set algebra stays exact and cheap. All types are immutable
 values: equal content compares equal and can be used in dicts and sets.
+A space renders its state names once, on first use of `names`, so
+writing or comparing a table costs one dict or tuple lookup per member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 from .errors import DuplicateState, MismatchedSpace, NonPartition, UnknownState
@@ -83,6 +87,11 @@ class ApproximationSpace:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Printed names of the states, in declared order."""
+        return tuple(map(value_name, self.states))
+
     def position(self, state) -> int:
         """Index of `state` in the declared order."""
         try:
@@ -127,9 +136,18 @@ class DefinableSet:
     def states_set(self) -> frozenset:
         return frozenset(q for i in self.block_ids for q in self.space.blocks[i])
 
+    def _in_order(self, values: tuple) -> tuple:
+        """The entries of `values` (one per state) at the members' positions, in order."""
+        space = self.space
+        members = chain.from_iterable(map(space.blocks.__getitem__, self.block_ids))
+        return tuple(map(values.__getitem__, sorted(map(space._position.__getitem__, members))))
+
     def states_ordered(self) -> tuple:
-        members = self.states_set()
-        return tuple(q for q in self.space.states if q in members)
+        return self._in_order(self.space.states)
+
+    def member_names(self) -> tuple[str, ...]:
+        """Printed names of the member states, in declared order."""
+        return self._in_order(self.space.names)
 
     def blocks_ordered(self) -> tuple[tuple, ...]:
         return tuple(self.space.blocks[i] for i in sorted(self.block_ids))
@@ -226,29 +244,17 @@ def approximate(space: ApproximationSpace, members: Iterable) -> RoughSet:
     Raises UnknownState if the subset mentions a state outside the space.
     """
     subset = frozenset(members)
-    for q in subset:
-        space.position(q)
-    lower = []
-    upper = []
-    for i, cell in enumerate(space.blocks):
-        inside = sum(1 for q in cell if q in subset)
-        if inside == len(cell):
-            lower.append(i)
-        if inside:
-            upper.append(i)
-    return RoughSet(space.definable(lower), space.definable(upper))
+    try:  # one lookup per member; only the blocks met can lie inside
+        upper = frozenset(map(space._block_id.__getitem__, subset))
+    except KeyError as e:
+        raise UnknownState(f"unknown state {value_name(e.args[0])}") from None
+    lower = frozenset(i for i in upper if subset.issuperset(space.blocks[i]))
+    return RoughSet(DefinableSet(space, lower), DefinableSet(space, upper))
 
 
 def is_definable(space: ApproximationSpace, members: Iterable) -> bool:
     """True iff the subset is a union of blocks (its own lower and upper)."""
-    subset = frozenset(members)
-    for q in subset:
-        space.position(q)
-    for cell in space.blocks:
-        inside = sum(1 for q in cell if q in subset)
-        if inside not in (0, len(cell)):
-            return False
-    return True
+    return approximate(space, members).is_exact()
 
 
 def is_realizable(space: ApproximationSpace, lower: DefinableSet, upper: DefinableSet) -> bool:

@@ -87,21 +87,18 @@ class Machine:
             raise UnknownSymbol(f"unknown input symbol {value_name(symbol)}") from None
 
     def canonical_key(self):
-        def set_names(d: DefinableSet):
-            return tuple(value_name(q) for q in d.states_ordered())
-
+        names = self.space.names
+        symbols = tuple(map(value_name, self.alphabet))
         entries = []
-        for q in self.space.states:
-            for x in self.alphabet:
+        for q, q_name in zip(self.space.states, names):
+            for x, x_name in zip(self.alphabet, symbols):
                 r = self.table.get((q, x))
-                cell = None
-                if r is not None:
-                    cell = (set_names(r.lower), set_names(r.upper))
-                entries.append((value_name(q), value_name(x), cell))
+                cell = None if r is None else (r.lower.member_names(), r.upper.member_names())
+                entries.append((q_name, x_name, cell))
         return (
-            tuple(value_name(q) for q in self.space.states),
-            tuple(tuple(value_name(q) for q in cell) for cell in self.space.blocks),
-            tuple(value_name(x) for x in self.alphabet),
+            names,
+            tuple(tuple(names[self.space.position(q)] for q in cell) for cell in self.space.blocks),
+            symbols,
             tuple(entries),
         )
 

@@ -22,6 +22,10 @@ documents diff cleanly and parse back to an equal machine.
 Entry state lists must be unions of blocks; ragged lists raise
 NonDefinableEntry. The empty set is written { } in files and rendered
 as the symbol phi in tables.
+
+The readers split lines on whitespace and find a token's column only
+when raising ParseError. Parsing looks each member name up once;
+writing takes state names from the space's cached `names`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import is_definable, value_name
 from .errors import (
     DuplicateState,
     NonDefinableEntry,
@@ -39,7 +42,7 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .core import make_partition, ApproximationSpace, DefinableSet, RoughSet
+from .core import approximate, make_partition, value_name, ApproximationSpace, DefinableSet, RoughSet
 from .machine import Machine, block_step, block_word_step, make_machine, word_step
 from .products import InputBridge
 
@@ -58,7 +61,6 @@ __all__ = [
     "format_rough_set",
 ]
 
-_NAME = re.compile(r"[^\s{}#]+\Z")
 EMPTY_SET_MARK = "φ"  # phi
 UNION_MARK = "∪"
 
@@ -71,49 +73,54 @@ class MachineDocument:
     machine: Machine
 
 
-def _tokenize(line: str):
-    """Tokens of one line with their 1-based columns, comments stripped."""
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+def _split(line: str) -> list[str]:
+    """Tokens of one line, comment stripped."""
+    return line.split("#", 1)[0].split()
 
 
-def _check_name(token: str, lineno: int, col: int, what: str) -> str:
-    if not _NAME.match(token):
-        raise ParseError(f"invalid {what} name {token!r}", lineno, col)
-    return token
+def _column(line: str, index: int) -> int:
+    """1-based column of token `index` of a line; only errors need it."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", line.split("#", 1)[0])][index]
 
 
-def _parse_trans_line(tokens, lineno):
+def _names(tokens: list[str], start: int, stop: int, line: str, lineno: int, what: str) -> list[str]:
+    """tokens[start:stop], refused at the first one holding a brace.
+
+    Split tokens hold no whitespace and the comment cut removed '#'.
+    """
+    names = tokens[start:stop]
+    joined = " ".join(names)
+    if "{" in joined or "}" in joined:
+        k = next(k for k, t in enumerate(names) if "{" in t or "}" in t)
+        raise ParseError(f"invalid {what} name {names[k]!r}", lineno, _column(line, start + k))
+    return names
+
+
+def _parse_trans_line(tokens, line, lineno):
     if len(tokens) < 4:
-        raise ParseError("incomplete transition line", lineno, tokens[0][1])
-    state = _check_name(tokens[1][0], lineno, tokens[1][1], "state")
-    symbol = _check_name(tokens[2][0], lineno, tokens[2][1], "input")
-    rest = tokens[3:]
+        raise ParseError("incomplete transition line", lineno, _column(line, 0))
+    (state,) = _names(tokens, 1, 2, line, lineno, "state")
+    (symbol,) = _names(tokens, 2, 3, line, lineno, "input")
+    end = len(tokens)
 
-    def read_set(rest, keyword):
-        if not rest or rest[0][0] != keyword:
-            where = rest[0] if rest else tokens[-1]
-            raise ParseError(f"expected '{keyword}'", lineno, where[1])
-        rest = rest[1:]
-        if not rest or rest[0][0] != "{":
-            where = rest[0] if rest else tokens[-1]
-            raise ParseError("expected '{'", lineno, where[1])
-        rest = rest[1:]
-        members = []
-        while rest and rest[0][0] != "}":
-            name, col = rest[0]
-            members.append(_check_name(name, lineno, col, "state"))
-            rest = rest[1:]
-        if not rest:
-            raise ParseError("unterminated set, expected '}'", lineno, tokens[-1][1])
-        return members, rest[1:]
+    def read_set(i, keyword):
+        if i == end or tokens[i] != keyword:
+            raise ParseError(f"expected '{keyword}'", lineno, _column(line, min(i, end - 1)))
+        if i + 1 == end or tokens[i + 1] != "{":
+            raise ParseError("expected '{'", lineno, _column(line, min(i + 1, end - 1)))
+        try:
+            close = tokens.index("}", i + 2)
+        except ValueError:
+            close = end
+        members = _names(tokens, i + 2, close, line, lineno, "state")
+        if close == end:
+            raise ParseError("unterminated set, expected '}'", lineno, _column(line, -1))
+        return members, close + 1
 
-    lower, rest = read_set(rest, "lower")
-    upper, rest = read_set(rest, "upper")
-    if rest:
-        raise ParseError(f"unexpected token {rest[0][0]!r}", lineno, rest[0][1])
+    lower, i = read_set(3, "lower")
+    upper, i = read_set(i, "upper")
+    if i < end:
+        raise ParseError(f"unexpected token {tokens[i]!r}", lineno, _column(line, i))
     return state, symbol, lower, upper
 
 
@@ -126,38 +133,38 @@ def parse_document(text: str) -> MachineDocument:
     entries = []
     seen_keys = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = _split(line)
         if not tokens:
             continue
-        keyword, col = tokens[0]
+        keyword = tokens[0]
         if name is None:
             if keyword != "machine":
-                raise ParseError("document must start with a machine line", lineno, col)
+                raise ParseError("document must start with a machine line", lineno, _column(line, 0))
             if len(tokens) != 2:
-                raise ParseError("machine line needs exactly one name", lineno, col)
-            name = _check_name(tokens[1][0], lineno, tokens[1][1], "machine")
+                raise ParseError("machine line needs exactly one name", lineno, _column(line, 0))
+            (name,) = _names(tokens, 1, 2, line, lineno, "machine")
             continue
         if keyword == "machine":
-            raise ParseError("second machine line", lineno, col)
+            raise ParseError("second machine line", lineno, _column(line, 0))
         if keyword == "states":
             if states is not None:
-                raise ParseError("second states line", lineno, col)
+                raise ParseError("second states line", lineno, _column(line, 0))
             if len(tokens) == 1:
-                raise ParseError("states line lists no states", lineno, col)
-            states = [_check_name(t, lineno, c, "state") for t, c in tokens[1:]]
+                raise ParseError("states line lists no states", lineno, _column(line, 0))
+            states = _names(tokens, 1, len(tokens), line, lineno, "state")
         elif keyword == "block":
             if len(tokens) == 1:
-                raise ParseError("block line lists no states", lineno, col)
-            blocks.append([_check_name(t, lineno, c, "state") for t, c in tokens[1:]])
+                raise ParseError("block line lists no states", lineno, _column(line, 0))
+            blocks.append(_names(tokens, 1, len(tokens), line, lineno, "state"))
         elif keyword == "inputs":
             if inputs is not None:
-                raise ParseError("second inputs line", lineno, col)
+                raise ParseError("second inputs line", lineno, _column(line, 0))
             if len(tokens) == 1:
-                raise ParseError("inputs line lists no symbols", lineno, col)
-            inputs = [_check_name(t, lineno, c, "input") for t, c in tokens[1:]]
+                raise ParseError("inputs line lists no symbols", lineno, _column(line, 0))
+            inputs = _names(tokens, 1, len(tokens), line, lineno, "input")
         elif keyword == "trans":
-            state, symbol, lower, upper = _parse_trans_line(tokens, lineno)
+            state, symbol, lower, upper = _parse_trans_line(tokens, line, lineno)
             key = (state, symbol)
             if key in seen_keys:
                 raise SemanticError(
@@ -167,7 +174,7 @@ def parse_document(text: str) -> MachineDocument:
             seen_keys[key] = lineno
             entries.append((lineno, state, symbol, lower, upper))
         else:
-            raise ParseError(f"unknown directive {keyword!r}", lineno, col)
+            raise ParseError(f"unknown directive {keyword!r}", lineno, _column(line, 0))
 
     if name is None:
         raise ParseError("empty document; a machine line is required")
@@ -184,23 +191,26 @@ def parse_document(text: str) -> MachineDocument:
         raise SemanticError(str(e)) from e
 
     known = set(states)
+    symbols = set(inputs)
     table = {}
     for lineno, state, symbol, lower, upper in entries:
         if state not in known:
             raise SemanticError(f"transition from unknown state {state} on line {lineno}")
-        if symbol not in inputs:
+        if symbol not in symbols:
             raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
         sets = []
         for side, members in (("lower", lower), ("upper", upper)):
-            bad = [q for q in members if q not in known]
-            if bad:
-                raise SemanticError(f"unknown state {bad[0]} in {side} set on line {lineno}")
-            if not is_definable(space, members):
+            try:
+                rough = approximate(space, members)
+            except UnknownState:
+                bad = next(q for q in members if q not in known)
+                raise SemanticError(f"unknown state {bad} in {side} set on line {lineno}") from None
+            if not rough.is_exact():
                 raise NonDefinableEntry(
                     f"{side} set of ({state}, {symbol}) on line {lineno} "
                     "is not a union of blocks"
                 )
-            sets.append(space.definable(space.block_id(q) for q in members))
+            sets.append(rough.upper)
         table[(state, symbol)] = RoughSet(sets[0], sets[1])
 
     machine = make_machine(space, tuple(inputs), table, name)
@@ -219,16 +229,18 @@ def serialize_machine(machine: Machine) -> str:
     rendered to their printed names, so the parsed-back machine has
     plain string names but compares equal to the original.
     """
-    lines = [f"machine {machine.name}"]
-    lines.append("states " + " ".join(value_name(q) for q in machine.space.states))
-    for cell in machine.space.blocks:
-        lines.append("block " + " ".join(value_name(q) for q in cell))
-    lines.append("inputs " + " ".join(value_name(x) for x in machine.alphabet))
-    for q in machine.space.states:
-        for x in machine.alphabet:
+    space = machine.space
+    names = space.names
+    symbols = [value_name(x) for x in machine.alphabet]
+    lines = [f"machine {machine.name}", "states " + " ".join(names)]
+    for cell in space.blocks:
+        lines.append("block " + " ".join(names[space.position(q)] for q in cell))
+    lines.append("inputs " + " ".join(symbols))
+    for q, q_name in zip(space.states, names):
+        for x, x_name in zip(machine.alphabet, symbols):
             r = machine.table[(q, x)]
             lines.append(
-                f"trans {value_name(q)} {value_name(x)}"
+                f"trans {q_name} {x_name}"
                 f" lower {{ {_member_list(r.lower)}}}"
                 f" upper {{ {_member_list(r.upper)}}}"
             )
@@ -236,10 +248,10 @@ def serialize_machine(machine: Machine) -> str:
 
 
 def _member_list(definable: DefinableSet) -> str:
-    members = definable.states_ordered()
+    members = definable.member_names()
     if not members:
         return ""
-    return " ".join(value_name(q) for q in members) + " "
+    return " ".join(members) + " "
 
 
 def format_definable(definable: DefinableSet) -> str:
@@ -265,6 +277,25 @@ def word_text(word) -> str:
     return ",".join(names)
 
 
+def _read_names(by_name: dict, text: str, error: type, what: str) -> tuple:
+    """Values whose names spell `text`, matched greedily, longest name first."""
+    names = sorted(by_name, key=len, reverse=True)
+    values = []
+    i = 0
+    while i < len(text):
+        if text[i] in " ,\t":
+            i += 1
+            continue
+        for n in names:
+            if text.startswith(n, i):
+                values.append(by_name[n])
+                i += len(n)
+                break
+        else:
+            raise error(f"cannot read {what} at {text[i:]!r}")
+    return tuple(values)
+
+
 def word_from_text(machine: Machine, text: str) -> tuple:
     """Read a word against a machine's alphabet.
 
@@ -274,22 +305,7 @@ def word_from_text(machine: Machine, text: str) -> tuple:
     are skipped, except that a comma inside a structured name binds to
     the name. The empty string is the empty word.
     """
-    by_name = {value_name(x): x for x in machine.alphabet}
-    names = sorted(by_name, key=len, reverse=True)
-    word = []
-    i = 0
-    while i < len(text):
-        if text[i] in " ,\t":
-            i += 1
-            continue
-        for n in names:
-            if text.startswith(n, i):
-                word.append(by_name[n])
-                i += len(n)
-                break
-        else:
-            raise UnknownSymbol(f"cannot read an input symbol at {text[i:]!r}")
-    return tuple(word)
+    return _read_names({value_name(x): x for x in machine.alphabet}, text, UnknownSymbol, "an input symbol")
 
 
 def subset_from_text(space: ApproximationSpace, text: str) -> tuple:
@@ -298,22 +314,7 @@ def subset_from_text(space: ApproximationSpace, text: str) -> tuple:
     State names are matched greedily, longest first, with whitespace and
     separating commas skipped; "q1,q3" and "(q1,q2)(q3,q4)" both work.
     """
-    by_name = {value_name(q): q for q in space.states}
-    names = sorted(by_name, key=len, reverse=True)
-    members = []
-    i = 0
-    while i < len(text):
-        if text[i] in " ,\t":
-            i += 1
-            continue
-        for n in names:
-            if text.startswith(n, i):
-                members.append(by_name[n])
-                i += len(n)
-                break
-        else:
-            raise UnknownState(f"cannot read a state name at {text[i:]!r}")
-    return tuple(members)
+    return _read_names(dict(zip(space.names, space.states)), text, UnknownState, "a state name")
 
 
 def _table_rows(machine: Machine):
@@ -419,20 +420,19 @@ def parse_state_input_map(text: str):
     """
     state_map = {}
     input_map = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = _split(line)
         if not tokens:
             continue
-        keyword, col = tokens[0]
+        keyword = tokens[0]
         if keyword not in ("state", "input"):
-            raise ParseError(f"unknown directive {keyword!r}", lineno, col)
+            raise ParseError(f"unknown directive {keyword!r}", lineno, _column(line, 0))
         if len(tokens) != 3:
-            raise ParseError(f"{keyword} line needs FROM and TO", lineno, col)
-        src = _check_name(tokens[1][0], lineno, tokens[1][1], keyword)
-        dst = _check_name(tokens[2][0], lineno, tokens[2][1], keyword)
+            raise ParseError(f"{keyword} line needs FROM and TO", lineno, _column(line, 0))
+        src, dst = _names(tokens, 1, 3, line, lineno, keyword)
         target = state_map if keyword == "state" else input_map
         if src in target:
-            raise ParseError(f"{keyword} {src} mapped twice", lineno, col)
+            raise ParseError(f"{keyword} {src} mapped twice", lineno, _column(line, 0))
         target[src] = dst
     return state_map, input_map
 
@@ -440,13 +440,13 @@ def parse_state_input_map(text: str):
 def parse_wiring_triples(text: str) -> list[tuple[str, str, str]]:
     """Read a wiring file of `STATE INPUT FED_INPUT` lines, in order."""
     triples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = _split(line)
         if not tokens:
             continue
         if len(tokens) != 3:
-            raise ParseError("wiring line needs STATE INPUT FED_INPUT", lineno, tokens[0][1])
-        triples.append(tuple(_check_name(t, lineno, c, "wiring entry") for t, c in tokens))
+            raise ParseError("wiring line needs STATE INPUT FED_INPUT", lineno, _column(line, 0))
+        triples.append(tuple(_names(tokens, 0, 3, line, lineno, "wiring entry")))
     return triples
 
 
@@ -457,15 +457,15 @@ def parse_bridge(text: str) -> InputBridge:
     """
     carrier = []
     decode = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = _split(line)
         if not tokens:
             continue
         if len(tokens) != 3:
-            raise ParseError("bridge line needs SYMBOL FIRST SECOND", lineno, tokens[0][1])
-        u, x1, x2 = (_check_name(t, lineno, c, "bridge entry") for t, c in tokens)
+            raise ParseError("bridge line needs SYMBOL FIRST SECOND", lineno, _column(line, 0))
+        u, x1, x2 = _names(tokens, 0, 3, line, lineno, "bridge entry")
         if u in decode:
-            raise ParseError(f"bridge symbol {u} declared twice", lineno, tokens[0][1])
+            raise ParseError(f"bridge symbol {u} declared twice", lineno, _column(line, 0))
         carrier.append(u)
         decode[u] = (x1, x2)
     return InputBridge(tuple(carrier), decode)

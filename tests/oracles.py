@@ -103,3 +103,30 @@ def word_run_reference(machine, state, word):
         lower = step_states(machine, lower, symbol, "lower")
         upper = step_states(machine, upper, symbol, "upper")
     return lower, upper
+
+
+def brute_canonical_key(machine):
+    """The equality key of a machine, rendering every name on every use.
+
+    State names, block members, symbols and each entry's member states
+    (in declared order) all go through value_name afresh; Machine.__eq__
+    must compare exactly this key.
+    """
+    from roughfsm.core import value_name
+
+    def set_names(d):
+        members = frozenset(q for i in d.block_ids for q in d.space.blocks[i])
+        return tuple(value_name(q) for q in d.space.states if q in members)
+
+    entries = []
+    for q in machine.space.states:
+        for x in machine.alphabet:
+            r = machine.table.get((q, x))
+            cell = None if r is None else (set_names(r.lower), set_names(r.upper))
+            entries.append((value_name(q), value_name(x), cell))
+    return (
+        tuple(value_name(q) for q in machine.space.states),
+        tuple(tuple(value_name(q) for q in cell) for cell in machine.space.blocks),
+        tuple(value_name(x) for x in machine.alphabet),
+        tuple(entries),
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from roughfsm import (
     CascadeWiring,
+    core,
     cascade,
     full_direct,
     general_direct,
@@ -25,6 +26,8 @@ from roughfsm.errors import (
     UnknownSymbol,
 )
 from roughfsm.generate import exact_machine, random_bridge, random_machine, random_wiring
+from roughfsm import machine as machine_module
+from roughfsm import textio
 from roughfsm.machine import word_step
 from roughfsm.textio import (
     format_definable,
@@ -36,6 +39,8 @@ from roughfsm.textio import (
     word_from_text,
     word_text,
 )
+
+import oracles
 
 FULL5 = "{q1,q2}∪{q3,q5}∪{q4}"
 
@@ -135,6 +140,46 @@ class TestSyntaxErrors:
             "trans q1 a lower { } upper { q1 } extra\n",
             "unexpected token 'extra'",
         )
+
+    @pytest.mark.parametrize(
+        "trans, fragment, column",
+        [
+            ("trans q1 a upper { } lower { }", "expected 'lower'", 12),
+            ("trans q1 a lower q1", "expected '{'", 18),
+            ("trans q1 a lower", "expected '{'", 12),
+            ("trans q1 a lower { } upper", "expected '{'", 22),
+            ("trans q1 a lower { } upp { }", "expected 'upper'", 22),
+            ("trans q1 a lower { }", "expected 'upper'", 20),
+            ("trans q1 a lower { q1", "unterminated set", 20),
+            ("trans q1 a lower { } upper { q1", "unterminated set", 30),
+            ("trans q1 a lower { } upper { q1 } extra", "unexpected token 'extra'", 35),
+            ("trans q1 a lower { q{1 } upper { }", "invalid state name 'q{1'", 20),
+            ("trans q1 a lower { q1 } upper { q1} }", "invalid state name 'q1}'", 33),
+            ("trans q1 a lower { q{1", "invalid state name 'q{1'", 20),
+            ("trans q{1 a lower { } upper { }", "invalid state name 'q{1'", 7),
+            ("trans q1 a} lower { } upper { }", "invalid input name 'a}'", 10),
+            ("\t  trans  q1 a lower  q1 # trailing { comment", "expected '{'", 23),
+        ],
+    )
+    def test_transition_errors_pin_line_and_column(self, trans, fragment, column):
+        err = self.expect(
+            "machine m\nstates q1\nblock q1\ninputs a\n" + trans + "\n", fragment, line=5
+        )
+        assert err.column == column
+
+    @pytest.mark.parametrize(
+        "text, fragment, line, column",
+        [
+            ("machine m\n  flibber q1\n", "unknown directive 'flibber'", 2, 3),
+            ("machine m\nstates q1 q}2\n", "invalid state name 'q}2'", 2, 11),
+            ("machine m\nstates q1\nblock  q1 {\n", "invalid state name '{'", 3, 11),
+            ("machine m\ninputs a b{ c\n", "invalid input name 'b{'", 2, 10),
+            ("machine m\nstates q1\n states\n", "second states line", 3, 2),
+            ("machine m\nstates q1\nblock q1\ninputs a\n trans q1\n", "incomplete transition", 5, 2),
+        ],
+    )
+    def test_other_line_errors_pin_line_and_column(self, text, fragment, line, column):
+        assert self.expect(text, fragment, line=line).column == column
 
     def test_unknown_directive(self):
         self.expect("machine m\nflibber q1\n", "unknown directive 'flibber'", line=2)
@@ -236,6 +281,65 @@ class TestRoundTrip:
         assert "(q1,q1)" in again.space.states
         assert ("a", "b") not in again.alphabet
         assert "(a,b)" in again.alphabet
+
+
+class TestNamesRenderedOnce:
+    def seeded_products(self, seed):
+        rng = random.Random(seed)
+        m1 = random_machine(rng, max_states=4, alphabet=("a", "b"), name="m1")
+        m2 = random_machine(rng, max_states=3, alphabet=("a", "b"), name="m2")
+        m3 = random_machine(rng, max_states=3, alphabet=("c",), name="m3")
+        inner = full_direct(m1, m2)
+        return [
+            inner,
+            full_direct(inner, m3),
+            restricted_direct(inner, inner),
+            general_direct(m1, m2, random_bridge(rng, m1, m2)),
+            cascade(m1, m2, random_wiring(rng, m1, m2)),
+            wreath(m1, m2),
+            wreath(inner, m3),
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_key_matches_the_brute_key_and_text_is_stable(self, seed):
+        for product in self.seeded_products(seed):
+            assert product.canonical_key() == oracles.brute_canonical_key(product)
+            text = serialize_machine(product)
+            again = parse_machine(text)
+            assert again.canonical_key() == oracles.brute_canonical_key(again)
+            assert again == product
+            assert serialize_machine(again) == text
+
+    def test_serialize_and_key_render_each_name_once(self, monkeypatch):
+        rng = random.Random(5)
+        m1 = random_machine(rng, n_states=12, alphabet=("a", "b"), name="f1")
+        m2 = random_machine(rng, n_states=12, alphabet=("a", "b"), name="f2")
+        product = full_direct(m1, m2)
+        n_states, n_symbols = len(product.space.states), len(product.alphabet)
+        assert n_states == 144
+        real = core.value_name
+        depth = 0
+        top_level = 0
+
+        def counting(value):
+            # Calls from inside value_name render tuple components.
+            nonlocal depth, top_level
+            top_level += depth == 0
+            depth += 1
+            try:
+                return real(value)
+            finally:
+                depth -= 1
+
+        for module in (core, textio, machine_module):
+            monkeypatch.setattr(module, "value_name", counting)
+        text = serialize_machine(product)
+        assert 0 < top_level <= n_states + n_symbols
+        top_level = 0
+        product.canonical_key()
+        assert top_level <= n_symbols
+        monkeypatch.undo()
+        assert text == serialize_machine(product)
 
 
 class TestFormatting:
