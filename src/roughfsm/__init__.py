@@ -87,11 +87,9 @@ from .propositions import (
     witness_wreath_exchange,
 )
 from .textio import (
-    MachineDocument,
     format_definable,
     format_rough_set,
     parse_bridge,
-    parse_document,
     parse_machine,
     parse_state_input_map,
     parse_wiring_triples,

@@ -149,20 +149,11 @@ def _load_map(path: str):
     return parse_state_input_map(_read(path))
 
 
-def cmd_check_hom(args) -> int:
+def cmd_check(args) -> int:
     m1 = _load_machine(args.first)
     m2 = _load_machine(args.second)
     state_map, input_map = _load_map(args.map)
-    result = check_homomorphism(m1, m2, MorphismPair(state_map, input_map), depth=args.depth)
-    print(result)
-    return 0 if result else 1
-
-
-def cmd_check_cover(args) -> int:
-    m1 = _load_machine(args.first)
-    m2 = _load_machine(args.second)
-    state_map, input_map = _load_map(args.map)
-    result = check_covering(m1, m2, CoveringPair(state_map, input_map), depth=args.depth)
+    result = args.check(m1, m2, args.pair(state_map, input_map), depth=args.depth)
     print(result)
     return 0 if result else 1
 
@@ -242,14 +233,14 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("second")
     q.add_argument("--map", required=True, help="map file: 'state FROM TO' and 'input FROM TO' lines")
     q.add_argument("--depth", type=int, default=2, help="also check words up to this length")
-    q.set_defaults(func=cmd_check_hom)
+    q.set_defaults(func=cmd_check, check=check_homomorphism, pair=MorphismPair)
 
     q = sub.add_parser("check-cover", help="check that the second machine covers the first")
     q.add_argument("first")
     q.add_argument("second")
     q.add_argument("--map", required=True, help="map file: state lines read FROM the covering machine")
     q.add_argument("--depth", type=int, default=2)
-    q.set_defaults(func=cmd_check_cover)
+    q.set_defaults(func=cmd_check, check=check_covering, pair=CoveringPair)
 
     q = sub.add_parser("search-cover", help="enumerate all covering map pairs")
     q.add_argument("first")

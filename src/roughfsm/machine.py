@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import ApproximationSpace, DefinableSet, RoughSet, is_realizable, value_name
-from .errors import MismatchedSpace, SemanticError, UnknownState, UnknownSymbol
+from .errors import MismatchedSpace, SemanticError, UnknownSymbol
 
 __all__ = [
     "Machine",
@@ -170,20 +170,27 @@ def make_machine(space: ApproximationSpace, alphabet: Sequence, table: Mapping, 
     return m
 
 
-def _lower_ids(machine: Machine, ids: frozenset, symbol) -> frozenset:
-    acc = set()
-    for i in ids:
-        for q in machine.space.blocks[i]:
-            acc |= machine.table[(q, symbol)].lower.block_ids
-    return frozenset(acc)
+def _run(machine: Machine, ids: frozenset, word: Sequence) -> RoughSet:
+    """Thread the lower and the upper block ids of a run from block ids `ids`.
 
-
-def _upper_ids(machine: Machine, ids: frozenset, symbol) -> frozenset:
-    acc = set()
-    for i in ids:
-        for q in machine.space.blocks[i]:
-            acc |= machine.table[(q, symbol)].upper.block_ids
-    return frozenset(acc)
+    Every symbol is checked against the alphabet, even when a track is
+    empty. Each step is the union of the entry parts over the states of
+    the current blocks.
+    """
+    space = machine.space
+    table = machine.table
+    low = up = ids
+    for symbol in word:
+        machine.symbol_index(symbol)
+        low_acc, up_acc = set(), set()
+        for i in low:
+            for q in space.blocks[i]:
+                low_acc |= table[(q, symbol)].lower.block_ids
+        for i in up:
+            for q in space.blocks[i]:
+                up_acc |= table[(q, symbol)].upper.block_ids
+        low, up = frozenset(low_acc), frozenset(up_acc)
+    return RoughSet(DefinableSet(space, low), DefinableSet(space, up))
 
 
 def block_step(machine: Machine, current: DefinableSet, symbol) -> RoughSet:
@@ -194,12 +201,7 @@ def block_step(machine: Machine, current: DefinableSet, symbol) -> RoughSet:
     """
     if current.space != machine.space:
         raise MismatchedSpace("definable set belongs to a different space")
-    machine.symbol_index(symbol)
-    space = machine.space
-    return RoughSet(
-        DefinableSet(space, _lower_ids(machine, current.block_ids, symbol)),
-        DefinableSet(space, _upper_ids(machine, current.block_ids, symbol)),
-    )
+    return _run(machine, current.block_ids, (symbol,))
 
 
 def word_step(machine: Machine, state, word: Sequence) -> RoughSet:
@@ -209,29 +211,17 @@ def word_step(machine: Machine, state, word: Sequence) -> RoughSet:
     of block transitions and the upper track through the uppers, each
     fed its own current set.
     """
-    start = machine.space.block_of(state)
-    low = start.block_ids
-    up = start.block_ids
-    for symbol in word:
-        machine.symbol_index(symbol)
-        low = _lower_ids(machine, low, symbol)
-        up = _upper_ids(machine, up, symbol)
-    space = machine.space
-    return RoughSet(DefinableSet(space, low), DefinableSet(space, up))
+    return _run(machine, machine.space.block_of(state).block_ids, word)
 
 
 def block_word_step(machine: Machine, current: DefinableSet, word: Sequence) -> RoughSet:
-    """Run a word from a definable set: the union of word runs over its states."""
+    """Run a word from a definable set; the empty word yields the set itself.
+
+    This equals the union of the word runs from the set's states. Every
+    step is a union of entry parts over the current states, so it
+    distributes over unions of start sets; and the blocks of the states
+    of a definable set make up the set itself.
+    """
     if current.space != machine.space:
         raise MismatchedSpace("definable set belongs to a different space")
-    space = machine.space
-    low: frozenset = frozenset()
-    up: frozenset = frozenset()
-    if not word:
-        return RoughSet(DefinableSet(space, current.block_ids), DefinableSet(space, current.block_ids))
-    for i in current.block_ids:
-        for q in space.blocks[i]:
-            r = word_step(machine, q, word)
-            low |= r.lower.block_ids
-            up |= r.upper.block_ids
-    return RoughSet(DefinableSet(space, low), DefinableSet(space, up))
+    return _run(machine, current.block_ids, word)

@@ -9,9 +9,26 @@ A covering of m1 by m2 runs the other way around: an onto state map
 eta from m2's states to m1's and an input translation xi from m1's
 alphabet to m2's, such that (i) eta preserves equivalence and (ii)
 whatever m1 does from eta(q2) on a word is contained in the eta-image of
-what m2 does from q2 on the translated word. Condition (ii) is checked
-on table entries for single symbols and through word runs for longer
-words, up to a configurable depth.
+what m2 does from q2 on the translated word.
+
+Condition (ii) is checked on two levels, up to a configurable depth:
+
+- Single letters compare the per-state table entries of the paired
+  states.
+- Words of length 2..depth compare word runs, which start from the
+  state's block, with the input map applied letter by letter.
+
+A homomorphism needs no separate run check of single letters: once the
+blocks are respected, each letter's run from a block is the union of the
+entries of its states, and those entries already passed. A covering
+gets no such check either, and there letters do not imply words: the
+covered side's run unions over the whole block of eta(q2), which no
+entry of q2 controls (`demos/04_coverings.py`).
+
+Both checks share one walker. It runs |Q| * (|X1|^2 + ... + |X1|^depth)
+pairs of word runs, where Q is the domain of the state map; above
+1,000,000 it raises BudgetExceeded, which the command line reports
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -20,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Mapping
 
-from .core import DefinableSet, value_name
+from .core import value_name
 from .errors import BudgetExceeded, NotOnto, TotalityError
 from .machine import Machine, word_step
 
@@ -33,6 +50,9 @@ __all__ = [
     "check_covering",
     "search_coverings",
 ]
+
+_BUDGET = 1_000_000
+"""Cap on the word run pairs of a check; search_coverings' default cap."""
 
 
 @dataclass(frozen=True)
@@ -102,10 +122,6 @@ def _require_total(mapping: Mapping, domain, codomain, what: str):
             )
 
 
-def _image_states(mapping: Mapping, definable: DefinableSet) -> frozenset:
-    return frozenset(mapping[q] for q in definable.states_set())
-
-
 def _blocks_respected(source: Machine, target: Machine, mapping: Mapping) -> CheckResult:
     for cell in source.space.blocks:
         anchor = cell[0]
@@ -120,13 +136,67 @@ def _blocks_respected(source: Machine, target: Machine, mapping: Mapping) -> Che
     return CheckResult(True)
 
 
+def _walk(m1: Machine, m2: Machine, states, pair, image_first: bool, reason: str, depth: int) -> CheckResult:
+    """Check the containments along the state map of `pair` on `states`.
+
+    Each state q pairs q1 of m1 with q2 of m2: q1 = q and q2 its image
+    when `image_first`, q2 = q and q1 its image otherwise. The image of
+    the mapped side's lower (upper) part must lie inside the other
+    side's. Letters compare table entries, then words of length 2..depth
+    compare word runs. A failure names q and the letter or word, and
+    `reason` is formatted with the failing side. BudgetExceeded is raised
+    before the word pass when it would run more than _BUDGET pairs of
+    word runs; its size counts the lengths up to the first one past the
+    budget, so a huge depth costs nothing to refuse.
+    """
+    state_map, input_map = pair.state_map, pair.input_map
+    if image_first:
+        def contained(d1, d2):
+            return frozenset(map(state_map.__getitem__, d1.states_set())) <= d2.states_set()
+    else:
+        def contained(d1, d2):
+            return d1.states_set() <= frozenset(map(state_map.__getitem__, d2.states_set()))
+
+    def escaped(r1, r2):
+        if not contained(r1.lower, r2.lower):
+            return "lower"
+        if not contained(r1.upper, r2.upper):
+            return "upper"
+        return None
+
+    for q in states:
+        q1, q2 = (q, state_map[q]) if image_first else (state_map[q], q)
+        for x in m1.alphabet:
+            side = escaped(m1.table[(q1, x)], m2.table[(q2, input_map[x])])
+            if side:
+                return CheckResult(False, reason.format(side=side), (q, x))
+
+    size, runs = 0, len(states)
+    for _ in range(2, depth + 1):
+        runs *= len(m1.alphabet)
+        size += runs
+        if size > _BUDGET:
+            raise BudgetExceeded(size, _BUDGET, what="word runs")
+
+    for n in range(2, depth + 1):
+        for word in iter_product(m1.alphabet, repeat=n):
+            mapped = tuple(input_map[x] for x in word)
+            for q in states:
+                q1, q2 = (q, state_map[q]) if image_first else (state_map[q], q)
+                side = escaped(word_step(m1, q1, word), word_step(m2, q2, mapped))
+                if side:
+                    return CheckResult(False, reason.format(side=side), (q, word))
+    return CheckResult(True)
+
+
 def check_homomorphism(m1: Machine, m2: Machine, pair: MorphismPair, depth: int = 2) -> CheckResult:
     """Decide whether (f, g) is a homomorphism from m1 to m2.
 
     Single symbols are checked on the transition tables; every word of
-    length 1..depth is additionally checked through word runs. Raises
-    TotalityError when f or g misses part of its domain or escapes its
-    codomain.
+    length 2..depth is additionally checked through word runs (see the
+    module docstring). Raises TotalityError when f or g misses part of
+    its domain or escapes its codomain, and BudgetExceeded when the word
+    pass is too large.
     """
     _require_total(pair.state_map, m1.space.states, m2.space.states, "state map")
     _require_total(pair.input_map, m1.alphabet, m2.alphabet, "input map")
@@ -134,27 +204,7 @@ def check_homomorphism(m1: Machine, m2: Machine, pair: MorphismPair, depth: int 
     respected = _blocks_respected(m1, m2, pair.state_map)
     if not respected:
         return respected
-
-    for q in m1.space.states:
-        for x in m1.alphabet:
-            r1 = m1.table[(q, x)]
-            r2 = m2.table[(pair.f(q), pair.g(x))]
-            if not _image_states(pair.state_map, r1.lower) <= r2.lower.states_set():
-                return CheckResult(False, "lower image escapes the target lower", (q, x))
-            if not _image_states(pair.state_map, r1.upper) <= r2.upper.states_set():
-                return CheckResult(False, "upper image escapes the target upper", (q, x))
-
-    for n in range(1, depth + 1):
-        for word in iter_product(m1.alphabet, repeat=n):
-            mapped = tuple(pair.g(x) for x in word)
-            for q in m1.space.states:
-                r1 = word_step(m1, q, word)
-                r2 = word_step(m2, pair.f(q), mapped)
-                if not _image_states(pair.state_map, r1.lower) <= r2.lower.states_set():
-                    return CheckResult(False, "lower image escapes the target lower", (q, word))
-                if not _image_states(pair.state_map, r1.upper) <= r2.upper.states_set():
-                    return CheckResult(False, "upper image escapes the target upper", (q, word))
-    return CheckResult(True)
+    return _walk(m1, m2, m1.space.states, pair, True, "{side} image escapes the target {side}", depth)
 
 
 def check_isomorphism(m1: Machine, m2: Machine, pair: MorphismPair, depth: int = 2) -> CheckResult:
@@ -179,9 +229,9 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     """Decide whether m2 covers m1 through (eta, xi).
 
     eta must be total on m2's states and onto m1's (NotOnto otherwise);
-    xi must be total on m1's alphabet into m2's. Word length runs from 1
-    to max(1, depth): single symbols compare table entries, longer words
-    compare word runs, with xi applied symbol by symbol. The empty word
+    xi must be total on m1's alphabet into m2's. Single symbols compare
+    table entries, words of length 2..depth compare word runs, with xi
+    applied symbol by symbol (see the module docstring). The empty word
     is deliberately out of scope; it would assert a block-surjectivity
     property that coverings do not promise.
     """
@@ -194,31 +244,10 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     if not respected:
         return respected
 
-    eta = pair.state_map
-    for q2 in m2.space.states:
-        q1 = eta[q2]
-        for x in m1.alphabet:
-            r1 = m1.table[(q1, x)]
-            r2 = m2.table[(q2, pair.xi(x))]
-            if not r1.lower.states_set() <= _image_states(eta, r2.lower):
-                return CheckResult(False, "covered lower escapes the eta-image", (q2, x))
-            if not r1.upper.states_set() <= _image_states(eta, r2.upper):
-                return CheckResult(False, "covered upper escapes the eta-image", (q2, x))
-
-    for n in range(2, max(1, depth) + 1):
-        for word in iter_product(m1.alphabet, repeat=n):
-            mapped = pair.xi_word(word)
-            for q2 in m2.space.states:
-                r1 = word_step(m1, eta[q2], word)
-                r2 = word_step(m2, q2, mapped)
-                if not r1.lower.states_set() <= _image_states(eta, r2.lower):
-                    return CheckResult(False, "covered lower escapes the eta-image", (q2, word))
-                if not r1.upper.states_set() <= _image_states(eta, r2.upper):
-                    return CheckResult(False, "covered upper escapes the eta-image", (q2, word))
-    return CheckResult(True)
+    return _walk(m1, m2, m2.space.states, pair, False, "covered {side} escapes the eta-image", depth)
 
 
-def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = 1_000_000) -> list[CoveringPair]:
+def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BUDGET) -> list[CoveringPair]:
     """Every (eta, xi) under which m2 covers m1, in enumeration order.
 
     Candidate state maps run lexicographically over m1's states per m2

@@ -31,7 +31,6 @@ writing takes state names from the space's cached `names`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     DuplicateState,
@@ -47,9 +46,7 @@ from .machine import Machine, block_step, block_word_step, make_machine, word_st
 from .products import InputBridge
 
 __all__ = [
-    "MachineDocument",
     "parse_machine",
-    "parse_document",
     "serialize_machine",
     "render_tables",
     "parse_state_input_map",
@@ -63,14 +60,6 @@ __all__ = [
 
 EMPTY_SET_MARK = "φ"  # phi
 UNION_MARK = "∪"
-
-
-@dataclass(frozen=True)
-class MachineDocument:
-    """A parsed machine file: the declared name plus the machine itself."""
-
-    name: str
-    machine: Machine
 
 
 def _split(line: str) -> list[str]:
@@ -124,8 +113,11 @@ def _parse_trans_line(tokens, line, lineno):
     return state, symbol, lower, upper
 
 
-def parse_document(text: str) -> MachineDocument:
-    """Parse a machine document; see the module docstring for the format."""
+def parse_machine(text: str) -> Machine:
+    """Parse a machine document; see the module docstring for the format.
+
+    The machine line's name becomes the machine's `name`.
+    """
     name = None
     states = None
     blocks: list[list[str]] = []
@@ -213,13 +205,7 @@ def parse_document(text: str) -> MachineDocument:
             sets.append(rough.upper)
         table[(state, symbol)] = RoughSet(sets[0], sets[1])
 
-    machine = make_machine(space, tuple(inputs), table, name)
-    return MachineDocument(name, machine)
-
-
-def parse_machine(text: str) -> Machine:
-    """Parse a machine document and return the machine."""
-    return parse_document(text).machine
+    return make_machine(space, tuple(inputs), table, name)
 
 
 def serialize_machine(machine: Machine) -> str:

@@ -8,7 +8,7 @@ the point is an independent route to the same value.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, product
 
 
 def all_subsets(items):
@@ -103,6 +103,103 @@ def word_run_reference(machine, state, word):
         lower = step_states(machine, lower, symbol, "lower")
         upper = step_states(machine, upper, symbol, "upper")
     return lower, upper
+
+
+def block_run_reference(machine, states, word):
+    """(lower, upper) state sets of a run from a set of states.
+
+    The union of word_run_reference over the states; (empty, empty)
+    when there are none.
+    """
+    lower, upper = frozenset(), frozenset()
+    for q in states:
+        run_lower, run_upper = word_run_reference(machine, q, word)
+        lower |= run_lower
+        upper |= run_upper
+    return lower, upper
+
+
+def _words(alphabet, shortest, longest):
+    for n in range(shortest, longest + 1):
+        yield from product(alphabet, repeat=n)
+
+
+def _entry(machine, state, symbol):
+    return step_states(machine, (state,), symbol, "lower"), step_states(machine, (state,), symbol, "upper")
+
+
+def _failures(source, target, mapping, contained, letter_pairs, word_pairs):
+    """Every (counterexample, side) refuting a homomorphism or covering.
+
+    `mapping` is the state map from `source` to `target`; block pairs
+    (a, b) carry side None. `contained(part1, part2)` decides one
+    containment, where part1 and part2 are the state sets of the first
+    and second machine. `letter_pairs` yields (key, part1, part2, x) for
+    table entries and `word_pairs` (key, part1, part2, word) for runs.
+    """
+    out = set()
+    for cell in source.space.blocks:
+        for a in cell:
+            for b in cell:
+                if block_states_of(target.space, mapping[a]) != block_states_of(target.space, mapping[b]):
+                    out.add(((a, b), None))
+    for key, r1, r2, label in chain(letter_pairs, word_pairs):
+        for side, part1, part2 in zip(("lower", "upper"), r1, r2):
+            if not contained(part1, part2):
+                out.add(((key, label), side))
+    return out
+
+
+def homomorphism_failures(m1, m2, f, g, depth):
+    """Every (counterexample, side) refuting (f, g) as a homomorphism.
+
+    Checks block respect, every table entry, and word runs of every
+    length 1..depth straight from the table.
+    """
+
+    def contained(part1, part2):
+        return frozenset(f[q] for q in part1) <= part2
+
+    letters = (
+        (q, _entry(m1, q, x), _entry(m2, f[q], g[x]), x) for q in m1.space.states for x in m1.alphabet
+    )
+    words = (
+        (q, word_run_reference(m1, q, w), word_run_reference(m2, f[q], tuple(g[x] for x in w)), w)
+        for w in _words(m1.alphabet, 1, depth)
+        for q in m1.space.states
+    )
+    return _failures(m1, m2, f, contained, letters, words)
+
+
+def covering_failures(m1, m2, eta, xi, depth):
+    """Every (counterexample, side) refuting m2 covering m1 through (eta, xi).
+
+    eta is taken to be onto. Checks block respect, every table entry,
+    and word runs of every length 2..depth straight from the table.
+    """
+
+    def contained(part1, part2):
+        return part1 <= frozenset(eta[q] for q in part2)
+
+    letters = (
+        (q2, _entry(m1, eta[q2], x), _entry(m2, q2, xi[x]), x) for q2 in m2.space.states for x in m1.alphabet
+    )
+    words = (
+        (q2, word_run_reference(m1, eta[q2], w), word_run_reference(m2, q2, tuple(xi[x] for x in w)), w)
+        for w in _words(m1.alphabet, 2, depth)
+        for q2 in m2.space.states
+    )
+    return _failures(m2, m1, eta, contained, letters, words)
+
+
+def brute_homomorphic(m1, m2, f, g, depth):
+    """True iff (f, g) is a homomorphism from m1 to m2, words 1..depth."""
+    return not homomorphism_failures(m1, m2, f, g, depth)
+
+
+def brute_covers(m1, m2, eta, xi, depth):
+    """True iff m2 covers m1 through an onto eta and xi, words 2..depth."""
+    return not covering_failures(m1, m2, eta, xi, depth)
 
 
 def brute_canonical_key(machine):

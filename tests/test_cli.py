@@ -242,6 +242,25 @@ class TestCheckCommands:
         assert code == 0
         assert out.strip() == "holds"
 
+    def test_deep_check_exceeds_the_word_run_budget(self, capsys, tmp_path, five_state):
+        narrow = tmp_path / "narrow.machine"
+        wide = tmp_path / "wide.machine"
+        narrow.write_text(serialize_machine(restricted_direct(five_state, five_state)))
+        wide.write_text(serialize_machine(full_direct(five_state, five_state)))
+        pair = tmp_path / "pair.map"
+        states = five_state.space.states
+        pair.write_text(
+            "".join(f"state ({p},{q}) ({p},{q})\n" for p in states for q in states)
+            + "input a (a,a)\ninput b (b,b)\n"
+        )
+        argv = ["check-cover", str(narrow), str(wide), "--map", str(pair), "--depth"]
+        code, out, err = run_cli(capsys, *argv, "3")
+        assert (code, out.strip()) == (0, "holds")
+        code, out, err = run_cli(capsys, *argv, "20")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: word runs has ")
+
 
 class TestSearchCover:
     def test_finds_the_forced_covering(self, capsys, one_state_path, m5_path):

@@ -211,6 +211,48 @@ class TestBlockWordStep:
                 assert direct.upper == block_step(m, prefix.upper, w[-1]).upper
 
 
+    def test_unknown_symbol_rejected_from_every_start(self, five_state):
+        # Runs check every symbol against the alphabet, even when the
+        # start set is empty and no entry is ever looked up.
+        space = five_state.space
+        for start in (space.empty_set(), space.full_set()):
+            for word in (("z",), ("a", "z")):
+                with pytest.raises(UnknownSymbol):
+                    block_word_step(five_state, start, word)
+        with pytest.raises(UnknownSymbol):
+            block_step(five_state, space.empty_set(), "z")
+        with pytest.raises(MismatchedSpace):
+            block_word_step(five_state, make_partition(["z"], [["z"]]).full_set(), ())
+
+
+class TestRunsAgainstTheReference:
+    """All three run functions against the union of per-state reference runs."""
+
+    @staticmethod
+    def states_of(r):
+        return r.lower.states_set(), r.upper.states_set()
+
+    def test_on_random_machines(self):
+        rng = random.Random(23)
+        for _ in range(25):
+            m = random_machine(rng, max_states=6, max_inputs=3)
+            space = m.space
+            starts = [space.empty_set(), space.full_set()] + [
+                space.definable(i for i in range(space.n_blocks) if rng.random() < 0.5)
+                for _ in range(3)
+            ]
+            for d in starts:
+                for n in range(5):
+                    w = tuple(rng.choice(m.alphabet) for _ in range(n))
+                    expected = oracles.block_run_reference(m, d.states_set(), w)
+                    assert self.states_of(block_word_step(m, d, w)) == expected
+                    if n == 1:
+                        assert self.states_of(block_step(m, d, w[0])) == expected
+            for q in space.states:
+                w = tuple(rng.choice(m.alphabet) for _ in range(rng.randint(0, 4)))
+                assert self.states_of(word_step(m, q, w)) == oracles.block_run_reference(m, [q], w)
+
+
 class TestDecompositionLaw:
     """Splitting a word anywhere and rerunning from the midpoint agrees."""
 

@@ -11,14 +11,17 @@ from roughfsm import (
     check_covering,
     check_homomorphism,
     check_isomorphism,
+    full_direct,
     make_machine,
     make_partition,
     restricted_direct,
     search_coverings,
 )
 from roughfsm.errors import BudgetExceeded, NotOnto, TotalityError
-from roughfsm.generate import exact_machine, random_machine
+from roughfsm.generate import exact_machine, random_machine, random_partition
 from roughfsm.morphism import CheckResult
+
+import oracles
 
 
 def identity_morphism(machine):
@@ -218,6 +221,158 @@ class TestSearchCoverings:
             search_coverings(five_state, five_state, depth=1, budget=10)
         assert err.value.size == 5**5 * 2**2
         assert err.value.budget == 10
+
+
+def relabeled(rng, m):
+    """m with shuffled new state and symbol names, plus the renaming pair."""
+    n, k = len(m.space.states), len(m.alphabet)
+    f = dict(zip(m.space.states, rng.sample([f"p{i}" for i in range(n)], n)))
+    g = dict(zip(m.alphabet, rng.sample([f"y{i}" for i in range(k)], k)))
+    space = make_partition([f[q] for q in m.space.states], [[f[q] for q in cell] for cell in m.space.blocks])
+
+    def moved(d):
+        return space.definable(space.block_id(f[q]) for q in d.states_set())
+
+    table = {(f[q], g[x]): RoughSet(moved(r.lower), moved(r.upper)) for (q, x), r in m.table.items()}
+    return make_machine(space, [g[x] for x in m.alphabet], table, "relabeled"), MorphismPair(f, g)
+
+
+def coarse_over_fine(rng, n_states, letters):
+    """A blocky machine and the same table over a finer partition.
+
+    The identity pair passes block respect and every letter, both as a
+    covering of the coarse machine by the fine one and as a homomorphism
+    from the fine machine to the coarse one, so it reaches the word runs.
+    """
+    states = [f"q{i}" for i in range(n_states)]
+    coarse = random_partition(rng, states, min_block_size=2)
+    cells = []
+    for cell in coarse.blocks:
+        cut = rng.randint(1, len(cell))
+        cells += [list(cell[:cut]), list(cell[cut:])] if cut < len(cell) else [list(cell)]
+    fine = make_partition(states, cells)
+    table = {}
+    for q in states:
+        for x in letters:
+            lower = [i for i in range(coarse.n_blocks) if rng.random() < 0.3]
+            upper = set(lower) | {i for i in range(coarse.n_blocks) if rng.random() < 0.5}
+            table[(q, x)] = RoughSet(coarse.definable(lower), coarse.definable(upper))
+
+    def refined(d):
+        return fine.definable(fine.block_id(q) for q in d.states_set())
+
+    fine_table = {k: RoughSet(refined(r.lower), refined(r.upper)) for k, r in table.items()}
+    identity = ({q: q for q in states}, {x: x for x in letters})
+    coarse_machine = make_machine(coarse, letters, table, "coarse")
+    return coarse_machine, make_machine(fine, letters, fine_table, "fine"), identity
+
+
+def side_of(result):
+    for side in ("lower", "upper"):
+        if side in result.reason:
+            return side
+    return None
+
+
+class TestAgainstOracles:
+    """Verdicts and counterexamples of both checks against the brute force."""
+
+    @staticmethod
+    def assert_hom(m1, m2, f, g, depth):
+        result = check_homomorphism(m1, m2, MorphismPair(f, g), depth)
+        failures = oracles.homomorphism_failures(m1, m2, f, g, depth)
+        assert result.holds == (not failures)
+        if not result:
+            assert (result.counterexample, side_of(result)) in failures
+        return result
+
+    @staticmethod
+    def assert_cover(m1, m2, eta, xi, depth):
+        result = check_covering(m1, m2, CoveringPair(eta, xi), depth)
+        failures = oracles.covering_failures(m1, m2, eta, xi, depth)
+        assert result.holds == (not failures)
+        if not result:
+            assert (result.counterexample, side_of(result)) in failures
+        return result
+
+    def test_random_maps(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            m1 = random_machine(rng, max_states=3, name="m1")
+            m2 = random_machine(rng, max_states=4, name="m2")
+            f = {q: rng.choice(m2.space.states) for q in m1.space.states}
+            g = {x: rng.choice(m2.alphabet) for x in m1.alphabet}
+            eta = dict(zip(m2.space.states, m1.space.states))
+            eta.update({q: rng.choice(m1.space.states) for q in m2.space.states[len(eta):]})
+            xi = {x: rng.choice(m2.alphabet) for x in m1.alphabet}
+            for depth in range(4):
+                self.assert_hom(m1, m2, f, g, depth)
+                if len(m2.space.states) >= len(m1.space.states):
+                    self.assert_cover(m1, m2, eta, xi, depth)
+
+    def test_identities_and_relabelings_reach_the_words(self):
+        rng = random.Random(37)
+        for _ in range(12):
+            m = random_machine(rng, max_states=4, max_inputs=2)
+            renamed, pair = relabeled(rng, m)
+            identity = ({q: q for q in m.space.states}, {x: x for x in m.alphabet})
+            for depth in (2, 3):
+                assert self.assert_hom(m, renamed, pair.state_map, pair.input_map, depth)
+                assert self.assert_hom(m, m, *identity, depth)
+                assert self.assert_cover(m, m, *identity, depth)
+
+    def test_search_hits_rechecked_deeper(self):
+        rng = random.Random(41)
+        hits = 0
+        for _ in range(25):
+            m1 = random_machine(rng, max_states=2, name="m1")
+            m2 = random_machine(rng, max_states=4, name="m2")
+            for pair in search_coverings(m1, m2, depth=1):
+                hits += 1
+                for depth in (2, 3):
+                    self.assert_cover(m1, m2, pair.state_map, pair.input_map, depth)
+        assert hits
+
+    def test_letters_only_pairs(self):
+        rng = random.Random(43)
+        word_failures = 0
+        for _ in range(30):
+            coarse, fine, (states, letters) = coarse_over_fine(rng, rng.randint(2, 6), ("a", "b"))
+            assert self.assert_cover(coarse, fine, states, letters, 1)
+            for depth in (2, 3):
+                result = self.assert_cover(coarse, fine, states, letters, depth)
+                word_failures += not result
+                self.assert_hom(fine, coarse, states, letters, depth)
+        assert word_failures
+
+
+class TestWordRunBudget:
+    """The word pass of both checks stops at 1,000,000 pairs of runs."""
+
+    def restricted_in_full(self, five_state):
+        narrow = restricted_direct(five_state, five_state)
+        wide = full_direct(five_state, five_state)
+        pair = CoveringPair({q: q for q in wide.space.states}, {x: (x, x) for x in narrow.alphabet})
+        return narrow, wide, pair
+
+    def test_deep_covering_check_exceeds_the_budget(self, five_state):
+        narrow, wide, pair = self.restricted_in_full(five_state)
+        assert check_covering(narrow, wide, pair, depth=4)
+        with pytest.raises(BudgetExceeded) as err:
+            check_covering(narrow, wide, pair, depth=20)
+        assert err.value.budget == 1_000_000
+        assert err.value.size > 1_000_000
+        assert "word runs" in str(err.value)
+
+    def test_deep_homomorphism_check_exceeds_the_budget(self, relabel_trio):
+        m1, m2, pair = relabel_trio
+        with pytest.raises(BudgetExceeded):
+            check_homomorphism(m1, m2, pair, depth=10**9)
+
+    def test_letter_failures_are_reported_before_the_budget(self, relabel_trio):
+        m1, m2, pair = relabel_trio
+        swapped = MorphismPair(pair.state_map, {"a": "d", "b": "c"})
+        assert check_homomorphism(m1, m2, swapped, depth=10**9).counterexample == ("q1", "a")
 
 
 class TestCheckResult:

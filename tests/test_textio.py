@@ -11,7 +11,6 @@ from roughfsm import (
     cascade,
     full_direct,
     general_direct,
-    parse_document,
     parse_machine,
     render_tables,
     restricted_direct,
@@ -58,9 +57,7 @@ class TestParseDocument:
         assert five_state == five_state_sample
 
     def test_document_name(self, five_state_text):
-        doc = parse_document(five_state_text)
-        assert doc.name == "m5"
-        assert doc.machine.name == "m5"
+        assert parse_machine(five_state_text).name == "m5"
 
     def test_comments_and_blank_lines_ignored(self):
         text = (
@@ -89,7 +86,7 @@ class TestParseDocument:
 class TestSyntaxErrors:
     def expect(self, text, fragment, line=None):
         with pytest.raises(ParseError) as err:
-            parse_document(text)
+            parse_machine(text)
         assert fragment in str(err.value)
         if line is not None:
             assert err.value.line == line
@@ -202,25 +199,25 @@ class TestSemanticErrors:
             "trans q1 a lower { } upper { q1 }\n"
         )
         with pytest.raises(SemanticError) as err:
-            parse_document(text)
+            parse_machine(text)
         assert "duplicate transition for (q1, a) on line 6" in str(err.value)
         assert "first on line 5" in str(err.value)
 
     def test_unknown_state_or_input_in_transition(self):
         base = "machine m\nstates q1\nblock q1\ninputs a\n"
         with pytest.raises(SemanticError, match="unknown state q9 on line 5"):
-            parse_document(base + "trans q9 a lower { } upper { q1 }\n")
+            parse_machine(base + "trans q9 a lower { } upper { q1 }\n")
         with pytest.raises(SemanticError, match="unknown input b on line 5"):
-            parse_document(base + "trans q1 b lower { } upper { q1 }\n")
+            parse_machine(base + "trans q1 b lower { } upper { q1 }\n")
         with pytest.raises(SemanticError, match="unknown state q9 in lower set"):
-            parse_document(base + "trans q1 a lower { q9 } upper { q1 }\n")
+            parse_machine(base + "trans q1 a lower { q9 } upper { q1 }\n")
 
     def test_ragged_entry_sets_rejected(self, five_state_text):
         text = five_state_text.replace(
             "trans q2 b lower { q3 q5 }", "trans q2 b lower { q3 }"
         )
         with pytest.raises(NonDefinableEntry, match="not a union of blocks"):
-            parse_document(text)
+            parse_machine(text)
 
     def test_bad_partitions_rejected(self):
         overlapping = (
@@ -229,15 +226,15 @@ class TestSemanticErrors:
             "trans q2 a lower { } upper { q1 q2 }\n"
         )
         with pytest.raises(SemanticError, match="lies in two blocks"):
-            parse_document(overlapping)
+            parse_machine(overlapping)
         duplicated = "machine m\nstates q1 q1\nblock q1\ninputs a\n"
         with pytest.raises(SemanticError, match="declared twice"):
-            parse_document(duplicated)
+            parse_machine(duplicated)
 
     def test_missing_entries_surface_as_violations(self):
         text = "machine m\nstates q1\nblock q1\ninputs a\n"
         with pytest.raises(SemanticError, match="missing table entry"):
-            parse_document(text + "# no transitions\n")
+            parse_machine(text + "# no transitions\n")
 
 
 class TestRoundTrip:
