@@ -22,10 +22,12 @@ from .core import (
 )
 from .errors import (
     AlphabetMismatch,
+    BadDepth,
     BridgeTotalityError,
     BudgetExceeded,
     DuplicateState,
     MismatchedSpace,
+    NameCollision,
     NonDefinableEntry,
     NonPartition,
     NotOnto,

@@ -93,13 +93,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_blocks(args) -> int:
-    machine = _load_machine(args.file)
-    word = word_from_text(machine, args.word) if args.word is not None else None
-    print(render_tables(machine, kind="block", word=word))
-    return 0
-
-
 def cmd_approx(args) -> int:
     machine = _load_machine(args.file)
     members = subset_from_text(machine.space, args.set)
@@ -145,15 +138,12 @@ def cmd_product(args) -> int:
     return 0
 
 
-def _load_map(path: str):
-    return parse_state_input_map(_read(path))
-
-
 def cmd_check(args) -> int:
     m1 = _load_machine(args.first)
     m2 = _load_machine(args.second)
-    state_map, input_map = _load_map(args.map)
-    result = args.check(m1, m2, args.pair(state_map, input_map), depth=args.depth)
+    state_map, input_map = parse_state_input_map(_read(args.map))
+    options = {"depth": args.depth} if "depth" in args else {}
+    result = args.check(m1, m2, args.pair(state_map, input_map), **options)
     print(result)
     return 0 if result else 1
 
@@ -211,7 +201,7 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("blocks", help="print the block transition table")
     q.add_argument("file")
     q.add_argument("--word", default=None)
-    q.set_defaults(func=cmd_blocks)
+    q.set_defaults(func=cmd_render, table="block")
 
     q = sub.add_parser("approx", help="approximate a state subset in the machine's space")
     q.add_argument("file")
@@ -232,14 +222,13 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("first")
     q.add_argument("second")
     q.add_argument("--map", required=True, help="map file: 'state FROM TO' and 'input FROM TO' lines")
-    q.add_argument("--depth", type=int, default=2, help="also check words up to this length")
     q.set_defaults(func=cmd_check, check=check_homomorphism, pair=MorphismPair)
 
     q = sub.add_parser("check-cover", help="check that the second machine covers the first")
     q.add_argument("first")
     q.add_argument("second")
     q.add_argument("--map", required=True, help="map file: state lines read FROM the covering machine")
-    q.add_argument("--depth", type=int, default=2)
+    q.add_argument("--depth", type=int, default=2, help="also check words up to this length")
     q.set_defaults(func=cmd_check, check=check_covering, pair=CoveringPair)
 
     q = sub.add_parser("search-cover", help="enumerate all covering map pairs")

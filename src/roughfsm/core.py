@@ -83,6 +83,11 @@ class ApproximationSpace:
         object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_block_id", block_id)
 
+    def __eq__(self, other):  # mostly compared with itself: skip the field walk then
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.states, self.blocks) == (other.states, other.blocks)
+
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
@@ -91,6 +96,16 @@ class ApproximationSpace:
     def names(self) -> tuple[str, ...]:
         """Printed names of the states, in declared order."""
         return tuple(map(value_name, self.states))
+
+    @cached_property
+    def state_bits(self) -> dict:
+        """Each state's int with just the bit of its position set."""
+        return {q: 1 << i for i, q in enumerate(self.states)}
+
+    @cached_property
+    def block_masks(self) -> tuple[int, ...]:
+        """One int per block: the sum of its members' state_bits."""
+        return tuple(sum(map(self.state_bits.__getitem__, cell)) for cell in self.blocks)
 
     def position(self, state) -> int:
         """Index of `state` in the declared order."""

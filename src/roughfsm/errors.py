@@ -48,6 +48,14 @@ class BudgetExceeded(RoughFsmError):
         super().__init__(f"{what} has {size} candidates, budget is {budget}")
 
 
+class BadDepth(RoughFsmError):
+    """A word depth below zero was asked for."""
+
+
+class NameCollision(RoughFsmError):
+    """Distinct states or input symbols print to the same name."""
+
+
 class AlphabetMismatch(RoughFsmError):
     """Two machines that must share an input alphabet do not."""
 

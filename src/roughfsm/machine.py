@@ -76,8 +76,7 @@ class Machine:
 
     def entry(self, state, symbol) -> RoughSet:
         self.space.position(state)
-        if symbol not in self._symbol_index:
-            raise UnknownSymbol(f"unknown input symbol {value_name(symbol)}")
+        self.symbol_index(symbol)
         return self.table[(state, symbol)]
 
     def symbol_index(self, symbol) -> int:

@@ -11,24 +11,27 @@ alphabet to m2's, such that (i) eta preserves equivalence and (ii)
 whatever m1 does from eta(q2) on a word is contained in the eta-image of
 what m2 does from q2 on the translated word.
 
-Condition (ii) is checked on two levels, up to a configurable depth:
+A homomorphism is decided exactly from blocks and letters: (i) and
+(ii) imply that f of m1's run from [q] lies inside m2's run from [f(q)]
+on every word, lower in lower and upper in upper. By induction on the
+word: the empty word runs [q] into [f(q)] by (i); a further letter x
+steps to the union of the entries of the states p of the current set,
+each f(p) lies in m2's current set, and by (ii) f of p's entry lies in
+the entry of f(p) on g(x), a part of m2's next set.
 
-- Single letters compare the per-state table entries of the paired
-  states.
-- Words of length 2..depth compare word runs, which start from the
-  state's block, with the input map applied letter by letter.
+A covering has no such argument, and there letters do not imply words:
+the covered side's run unions over the whole block of eta(q2), which no
+entry of q2 controls (`demos/04_coverings.py`). Its condition (ii) is
+checked up to a depth: single letters compare the table entries of the
+paired states, and words of length 2..depth compare word runs from the
+states' blocks, with xi applied letter by letter. That is |Q2| *
+(|X1|^2 + ... + |X1|^depth) pairs of word runs; above 1,000,000 it
+raises BudgetExceeded, which the command line reports with exit code 2.
 
-A homomorphism needs no separate run check of single letters: once the
-blocks are respected, each letter's run from a block is the union of the
-entries of its states, and those entries already passed. A covering
-gets no such check either, and there letters do not imply words: the
-covered side's run unions over the whole block of eta(q2), which no
-entry of q2 controls (`demos/04_coverings.py`).
-
-Both checks share one walker. It runs |Q| * (|X1|^2 + ... + |X1|^depth)
-pairs of word runs, where Q is the domain of the state map; above
-1,000,000 it raises BudgetExceeded, which the command line reports
-with exit code 2.
+Both checks share one walker and one containment test: each block
+becomes an int with one bit per state of the side receiving the state
+map's image, and a part is contained in another when the OR of its
+block masks has no bit outside the OR of the other's.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Mapping
 
-from .core import value_name
-from .errors import BudgetExceeded, NotOnto, TotalityError
+from .core import ApproximationSpace, value_name
+from .errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
 from .machine import Machine, word_step
 
 __all__ = [
@@ -117,61 +120,70 @@ def _require_total(mapping: Mapping, domain, codomain, what: str):
         if v not in mapping:
             raise TotalityError(f"{what} is undefined on {value_name(v)}")
         if mapping[v] not in codomain:
-            raise TotalityError(
-                f"{what} sends {value_name(v)} outside its codomain"
-            )
+            raise TotalityError(f"{what} sends {value_name(v)} outside its codomain")
 
 
-def _blocks_respected(source: Machine, target: Machine, mapping: Mapping) -> CheckResult:
-    for cell in source.space.blocks:
-        anchor = cell[0]
-        target_block = target.space.block_id(mapping[anchor])
-        for q in cell[1:]:
-            if target.space.block_id(mapping[q]) != target_block:
-                return CheckResult(
-                    False,
-                    "equivalent states map to inequivalent states",
-                    (anchor, q),
-                )
+def _require_depth(depth: int):
+    if depth < 0:
+        raise BadDepth(f"depth must not be negative, got {depth}")
+
+
+def _image_masks(space: ApproximationSpace, mapping: Mapping, target: ApproximationSpace) -> list[int]:
+    """Per block of `space`, the OR of target.state_bits over its members' images."""
+    bits = target.state_bits
+    masks = []
+    for cell in space.blocks:
+        mask = 0
+        for q in cell:
+            mask |= bits[mapping[q]]
+        masks.append(mask)
+    return masks
+
+
+def _blocks_respected(space, mapping: Mapping, target, image: list[int]) -> CheckResult:
+    """Whether each block of `space`, with image masks `image`, maps into one block of `target`."""
+    for cell, mask in zip(space.blocks, image):
+        if mask & (mask - 1):  # the images are two states or more
+            home = target.block_id(mapping[cell[0]])
+            if mask & ~target.block_masks[home]:
+                q = next(q for q in cell if target.block_id(mapping[q]) != home)
+                return CheckResult(False, "equivalent states map to inequivalent states", (cell[0], q))
     return CheckResult(True)
 
 
-def _walk(m1: Machine, m2: Machine, states, pair, image_first: bool, reason: str, depth: int) -> CheckResult:
-    """Check the containments along the state map of `pair` on `states`.
+def _escape(r1, r2, masks1, masks2):
+    """"lower" or "upper" for the first part of r1 not inside r2's, else None.
 
-    Each state q pairs q1 of m1 with q2 of m2: q1 = q and q2 its image
-    when `image_first`, q2 = q and q1 its image otherwise. The image of
-    the mapped side's lower (upper) part must lie inside the other
-    side's. Letters compare table entries, then words of length 2..depth
-    compare word runs. A failure names q and the letter or word, and
-    `reason` is formatted with the failing side. BudgetExceeded is raised
-    before the word pass when it would run more than _BUDGET pairs of
-    word runs; its size counts the lengths up to the first one past the
-    budget, so a huge depth costs nothing to refuse.
+    Inside means that the OR of the part's masks1 has no bit outside the
+    OR of r2's part's masks2.
     """
-    state_map, input_map = pair.state_map, pair.input_map
-    if image_first:
-        def contained(d1, d2):
-            return frozenset(map(state_map.__getitem__, d1.states_set())) <= d2.states_set()
-    else:
-        def contained(d1, d2):
-            return d1.states_set() <= frozenset(map(state_map.__getitem__, d2.states_set()))
+    for side, d1, d2 in (("lower", r1.lower, r2.lower), ("upper", r1.upper, r2.upper)):
+        inner = outer = 0
+        for i in d1.block_ids:
+            inner |= masks1[i]
+        for j in d2.block_ids:
+            outer |= masks2[j]
+        if inner & ~outer:
+            return side
+    return None
 
-    def escaped(r1, r2):
-        if not contained(r1.lower, r2.lower):
-            return "lower"
-        if not contained(r1.upper, r2.upper):
-            return "upper"
-        return None
 
-    for q in states:
-        q1, q2 = (q, state_map[q]) if image_first else (state_map[q], q)
+def _walk(m1: Machine, m2: Machine, pairs, input_map, masks, reason: str, depth: int) -> CheckResult:
+    """Check that m1's entries and runs lie inside m2's along `pairs`.
+
+    Each (q, q1, q2) pairs q1 of m1 with q2 of m2; a failure names q and
+    the letter or word, and formats `reason` with the failing side.
+    Letters compare table entries, then words of length 2..depth compare
+    word runs. Above _BUDGET pairs of word runs BudgetExceeded is raised
+    first; its size stops at the first length past the budget.
+    """
+    for q, q1, q2 in pairs:
         for x in m1.alphabet:
-            side = escaped(m1.table[(q1, x)], m2.table[(q2, input_map[x])])
+            side = _escape(m1.table[(q1, x)], m2.table[(q2, input_map[x])], *masks)
             if side:
                 return CheckResult(False, reason.format(side=side), (q, x))
 
-    size, runs = 0, len(states)
+    size, runs = 0, len(pairs)
     for _ in range(2, depth + 1):
         runs *= len(m1.alphabet)
         size += runs
@@ -181,43 +193,43 @@ def _walk(m1: Machine, m2: Machine, states, pair, image_first: bool, reason: str
     for n in range(2, depth + 1):
         for word in iter_product(m1.alphabet, repeat=n):
             mapped = tuple(input_map[x] for x in word)
-            for q in states:
-                q1, q2 = (q, state_map[q]) if image_first else (state_map[q], q)
-                side = escaped(word_step(m1, q1, word), word_step(m2, q2, mapped))
+            for q, q1, q2 in pairs:
+                side = _escape(word_step(m1, q1, word), word_step(m2, q2, mapped), *masks)
                 if side:
                     return CheckResult(False, reason.format(side=side), (q, word))
     return CheckResult(True)
 
 
-def check_homomorphism(m1: Machine, m2: Machine, pair: MorphismPair, depth: int = 2) -> CheckResult:
+def check_homomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckResult:
     """Decide whether (f, g) is a homomorphism from m1 to m2.
 
-    Single symbols are checked on the transition tables; every word of
-    length 2..depth is additionally checked through word runs (see the
-    module docstring). Raises TotalityError when f or g misses part of
-    its domain or escapes its codomain, and BudgetExceeded when the word
-    pass is too large.
+    Exact, with no word runs (see the module docstring): totality, block
+    respect, then every table entry. Raises TotalityError when f or g
+    misses part of its domain or escapes its codomain.
     """
-    _require_total(pair.state_map, m1.space.states, m2.space.states, "state map")
+    f = pair.state_map
+    _require_total(f, m1.space.states, m2.space.states, "state map")
     _require_total(pair.input_map, m1.alphabet, m2.alphabet, "input map")
-
-    respected = _blocks_respected(m1, m2, pair.state_map)
+    image = _image_masks(m1.space, f, m2.space)
+    respected = _blocks_respected(m1.space, f, m2.space, image)
     if not respected:
         return respected
-    return _walk(m1, m2, m1.space.states, pair, True, "{side} image escapes the target {side}", depth)
+    states = m1.space.states
+    pairs = list(zip(states, states, map(f.__getitem__, states)))
+    masks = (image, m2.space.block_masks)
+    return _walk(m1, m2, pairs, pair.input_map, masks, "{side} image escapes the target {side}", 1)
 
 
-def check_isomorphism(m1: Machine, m2: Machine, pair: MorphismPair, depth: int = 2) -> CheckResult:
+def check_isomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckResult:
     """A homomorphism whose state and input maps are both bijections."""
-    hom = check_homomorphism(m1, m2, pair, depth)
+    hom = check_homomorphism(m1, m2, pair)
     if not hom:
         return hom
-    f_values = set(pair.state_map.values())
+    f_values, g_values = set(pair.state_map.values()), set(pair.input_map.values())
     if len(f_values) != len(m1.space.states):
         return CheckResult(False, "state map is not injective")
     if f_values != set(m2.space.states):
         return CheckResult(False, "state map is not onto the target states")
-    g_values = set(pair.input_map.values())
     if len(g_values) != len(m1.alphabet):
         return CheckResult(False, "input map is not injective")
     if g_values != set(m2.alphabet):
@@ -229,22 +241,27 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     """Decide whether m2 covers m1 through (eta, xi).
 
     eta must be total on m2's states and onto m1's (NotOnto otherwise);
-    xi must be total on m1's alphabet into m2's. Single symbols compare
-    table entries, words of length 2..depth compare word runs, with xi
-    applied symbol by symbol (see the module docstring). The empty word
-    is deliberately out of scope; it would assert a block-surjectivity
-    property that coverings do not promise.
+    xi must be total on m1's alphabet into m2's; depth must not be
+    negative (BadDepth). Single symbols compare table entries, words of
+    length 2..depth compare word runs, with xi applied symbol by symbol
+    (see the module docstring). The empty word is deliberately out of
+    scope; it would assert a block-surjectivity property that coverings
+    do not promise.
     """
-    _require_total(pair.state_map, m2.space.states, m1.space.states, "state map")
+    _require_depth(depth)
+    eta = pair.state_map
+    _require_total(eta, m2.space.states, m1.space.states, "state map")
     _require_total(pair.input_map, m1.alphabet, m2.alphabet, "input map")
-    if set(pair.state_map[q] for q in m2.space.states) != set(m1.space.states):
+    if set(map(eta.__getitem__, m2.space.states)) != set(m1.space.states):
         raise NotOnto("state map does not reach every covered state")
-
-    respected = _blocks_respected(m2, m1, pair.state_map)
+    image = _image_masks(m2.space, eta, m1.space)
+    respected = _blocks_respected(m2.space, eta, m1.space, image)
     if not respected:
         return respected
-
-    return _walk(m1, m2, m2.space.states, pair, False, "covered {side} escapes the eta-image", depth)
+    masks = (m1.space.block_masks, image)
+    states = m2.space.states
+    pairs = list(zip(states, map(eta.__getitem__, states), states))
+    return _walk(m1, m2, pairs, pair.input_map, masks, "covered {side} escapes the eta-image", depth)
 
 
 def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BUDGET) -> list[CoveringPair]:
@@ -255,8 +272,9 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BU
     The full candidate count |Q1|^|Q2| * |X2|^|X1| must stay within
     `budget` (BudgetExceeded otherwise). Returns [] when nothing passes;
     with fewer states in m2 than in m1 no map is onto, so the result is
-    empty without enumeration.
+    empty without enumeration. A negative depth raises BadDepth.
     """
+    _require_depth(depth)
     n_states = len(m1.space.states) ** len(m2.space.states)
     n_inputs = len(m2.alphabet) ** len(m1.alphabet)
     size = n_states * n_inputs

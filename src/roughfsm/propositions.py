@@ -168,7 +168,6 @@ def assoc_isomorphism(
     m2: Machine,
     m3: Machine,
     wirings: tuple[CascadeWiring, CascadeWiring] | None = None,
-    depth: int = 1,
     budget: int = WREATH_BUDGET,
 ) -> WitnessReport:
     """Regrouping isomorphism between (m1 # m2) # m3 and m1 # (m2 # m3).
@@ -221,7 +220,7 @@ def assoc_isomorphism(
         raise ValueError(f"unknown product kind {kind!r}")
 
     pair = MorphismPair(_regroup_states(left), g)
-    result = check_isomorphism(left, right, pair, depth)
+    result = check_isomorphism(left, right, pair)
     return WitnessReport(
         "associativity", result.holds, left, right, pair, result, detail=kind
     )
@@ -274,26 +273,21 @@ def lift_covering(
     if kind == "full":
         if side == "left":
             covered, cover = full_direct(m1, m3), full_direct(m2, m3)
-            eta2 = {(q2, q3): (eta[q2], q3) for (q2, q3) in cover.space.states}
             xi2 = {(x1, x3): (xi[x1], x3) for (x1, x3) in covered.alphabet}
         else:
             covered, cover = full_direct(m3, m1), full_direct(m3, m2)
-            eta2 = {(q3, q2): (q3, eta[q2]) for (q3, q2) in cover.space.states}
             xi2 = {(x3, x1): (x3, xi[x1]) for (x3, x1) in covered.alphabet}
     elif kind == "restricted":
         if not (m1.alphabet == m2.alphabet == m3.alphabet):
             raise AlphabetMismatch("restricted lift needs one alphabet across all three machines")
         if side == "left":
             covered, cover = restricted_direct(m1, m3), restricted_direct(m2, m3)
-            eta2 = {(q2, q3): (eta[q2], q3) for (q2, q3) in cover.space.states}
         else:
             covered, cover = restricted_direct(m3, m1), restricted_direct(m3, m2)
-            eta2 = {(q3, q2): (q3, eta[q2]) for (q3, q2) in cover.space.states}
         xi2 = dict(xi)
     elif kind == "wreath":
         if side == "left":
             covered, cover = wreath(m1, m3, budget), wreath(m2, m3, budget)
-            eta2 = {(q2, q3): (eta[q2], q3) for (q2, q3) in cover.space.states}
             xi2 = {}
             for f, x3 in covered.alphabet:
                 translated = FunctionSymbol(
@@ -302,7 +296,6 @@ def lift_covering(
                 xi2[(f, x3)] = (translated, x3)
         else:
             covered, cover = wreath(m3, m1, budget), wreath(m3, m2, budget)
-            eta2 = {(q3, q2): (q3, eta[q2]) for (q3, q2) in cover.space.states}
             xi2 = {}
             for f, x1 in covered.alphabet:
                 composed = FunctionSymbol(
@@ -322,7 +315,6 @@ def lift_covering(
                 }
             )
             cover = cascade(m2, m3, translated)
-            eta2 = {(q2, q3): (eta[q2], q3) for (q2, q3) in cover.space.states}
             xi2 = {x3: x3 for x3 in m3.alphabet}
         else:
             covered = cascade(m3, m1, wiring)
@@ -335,11 +327,14 @@ def lift_covering(
                         wiring.feed(eta[q2], x1) if x1 is not None else fallback
                     )
             cover = cascade(m3, m2, CascadeWiring(synthesized))
-            eta2 = {(q3, q2): (q3, eta[q2]) for (q3, q2) in cover.space.states}
             xi2 = dict(xi)
     else:
         raise ValueError(f"unknown product kind {kind!r}")
 
+    if side == "left":
+        eta2 = {(q2, q3): (eta[q2], q3) for (q2, q3) in cover.space.states}
+    else:
+        eta2 = {(q3, q2): (q3, eta[q2]) for (q3, q2) in cover.space.states}
     lifted = CoveringPair(eta2, xi2)
     result = check_covering(covered, cover, lifted, depth)
     return WitnessReport(
@@ -360,14 +355,9 @@ CLAIM_NAMES = (
 
 
 def _assoc_trial(rng: random.Random, kind: str, budget: int) -> WitnessReport:
-    if kind == "full":
-        ms = [generate.random_machine(rng, max_states=3, name=f"m{i}") for i in (1, 2, 3)]
-        return assoc_isomorphism(kind, *ms, budget=budget)
-    if kind == "restricted":
-        ms = [
-            generate.random_machine(rng, max_states=3, alphabet=("a", "b"), name=f"m{i}")
-            for i in (1, 2, 3)
-        ]
+    if kind in ("full", "restricted"):
+        alphabet = ("a", "b") if kind == "restricted" else None
+        ms = [generate.random_machine(rng, max_states=3, alphabet=alphabet, name=f"m{i}") for i in (1, 2, 3)]
         return assoc_isomorphism(kind, *ms, budget=budget)
     if kind == "wreath":
         m1 = generate.random_machine(rng, max_states=3, name="m1")
@@ -463,17 +453,11 @@ def run_claim_trials(
                     continue
                 pair = usable[rng.randrange(len(usable))]
                 side = "left" if done % 2 == 0 else "right"
-                if kind == "restricted":
-                    m3 = generate.random_machine(rng, max_states=2, alphabet=("a", "b"), name="m3")
-                else:
-                    m3 = generate.random_machine(rng, max_states=2, name="m3")
+                alphabet = ("a", "b") if kind == "restricted" else None
+                m3 = generate.random_machine(rng, max_states=2, alphabet=alphabet, name="m3")
+                wiring = None
                 if kind == "cascade":
-                    if side == "left":
-                        wiring = generate.random_wiring(rng, m1, m3)
-                    else:
-                        wiring = generate.random_wiring(rng, m3, m1)
-                else:
-                    wiring = None
+                    wiring = generate.random_wiring(rng, *((m1, m3) if side == "left" else (m3, m1)))
                 reports.append(
                     lift_covering(kind, pair, m1, m2, m3, side=side, wiring=wiring, depth=depth, budget=budget)
                 )

@@ -34,6 +34,7 @@ import re
 
 from .errors import (
     DuplicateState,
+    NameCollision,
     NonDefinableEntry,
     NonPartition,
     ParseError,
@@ -62,9 +63,12 @@ EMPTY_SET_MARK = "φ"  # phi
 UNION_MARK = "∪"
 
 
-def _split(line: str) -> list[str]:
-    """Tokens of one line, comment stripped."""
-    return line.split("#", 1)[0].split()
+def _rows(text: str):
+    """(line number, line, tokens) of each line holding a token once its comment is cut."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, line, tokens
 
 
 def _column(line: str, index: int) -> int:
@@ -125,10 +129,7 @@ def parse_machine(text: str) -> Machine:
     entries = []
     seen_keys = {}
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _split(line)
-        if not tokens:
-            continue
+    for lineno, line, tokens in _rows(text):
         keyword = tokens[0]
         if name is None:
             if keyword != "machine":
@@ -213,11 +214,15 @@ def serialize_machine(machine: Machine) -> str:
 
     Structured state and input names (tuples, function symbols) are
     rendered to their printed names, so the parsed-back machine has
-    plain string names but compares equal to the original.
+    plain string names but compares equal to the original. Raises
+    NameCollision when two states or two symbols print to the same name,
+    since the document could not be parsed back.
     """
     space = machine.space
     names = space.names
     symbols = [value_name(x) for x in machine.alphabet]
+    _require_distinct("states", space.states, names)
+    _require_distinct("input symbols", machine.alphabet, symbols)
     lines = [f"machine {machine.name}", "states " + " ".join(names)]
     for cell in space.blocks:
         lines.append("block " + " ".join(names[space.position(q)] for q in cell))
@@ -233,6 +238,13 @@ def serialize_machine(machine: Machine) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_distinct(what: str, values, names):
+    first = {}
+    for value, name in zip(values, names):
+        if first.setdefault(name, value) != value:
+            raise NameCollision(f"{what} {first[name]!r} and {value!r} both print as {name}")
+
+
 def _member_list(definable: DefinableSet) -> str:
     members = definable.member_names()
     if not members:
@@ -244,10 +256,7 @@ def format_definable(definable: DefinableSet) -> str:
     """Union-of-blocks notation: {q1,q2} joined by the union sign, phi if empty."""
     if not definable.block_ids:
         return EMPTY_SET_MARK
-    parts = []
-    for cell in definable.blocks_ordered():
-        parts.append("{" + ",".join(value_name(q) for q in cell) + "}")
-    return UNION_MARK.join(parts)
+    return UNION_MARK.join("{" + ",".join(map(value_name, cell)) + "}" for cell in definable.blocks_ordered())
 
 
 def format_rough_set(rough: RoughSet) -> str:
@@ -351,46 +360,29 @@ def render_tables(machine: Machine, kind: str = "state", word=None, footnotes=No
             text += mark
         return text
 
-    delta = "δ"
     if kind == "state":
-        if word is not None:
-            col = f"{delta}*(q,{word_text(word)})"
-            header = ["Q", col]
-            rows = []
-            for q in machine.space.states:
-                label = value_name(q)
-                rows.append([label, cell_text(label, col, word_step(machine, q, word))])
-        else:
-            header = ["Q"] + [f"{delta}(q,{value_name(x)})" for x in machine.alphabet]
-            rows = []
-            for q in machine.space.states:
-                label = value_name(q)
-                row = [label]
-                for x in machine.alphabet:
-                    row.append(cell_text(label, value_name(x), machine.table[(q, x)]))
-                rows.append(row)
+        corner, arg, delta, subjects, label = "Q", "q", "δ", machine.space.states, value_name
+        run, step = word_step, lambda m, q, x: m.table[(q, x)]
     elif kind == "block":
-        selected = _table_rows(machine)
-        if word is not None:
-            col = f"{delta}D*(D,{word_text(word)})"
-            header = ["D", col]
-            rows = []
-            for d in selected:
-                label = format_definable(d)
-                rows.append([label, cell_text(label, col, block_word_step(machine, d, word))])
-        else:
-            header = ["D"] + [f"{delta}D(D,{value_name(x)})" for x in machine.alphabet]
-            rows = []
-            for d in selected:
-                label = format_definable(d)
-                row = [label]
-                for x in machine.alphabet:
-                    row.append(cell_text(label, value_name(x), block_step(machine, d, x)))
-                rows.append(row)
-        if not rows:
-            return _layout(header, []) + "\n(no multi-block definable sets occur in the table)"
+        corner, arg, delta, subjects, label = "D", "D", "δD", _table_rows(machine), format_definable
+        run, step = block_word_step, block_step
     else:
         raise ValueError(f"unknown table kind {kind!r}")
+    if word is not None:
+        col = f"{delta}*({arg},{word_text(word)})"
+        columns = [(col, col, lambda s: run(machine, s, word))]
+    else:
+        columns = [
+            (f"{delta}({arg},{value_name(x)})", value_name(x), lambda s, x=x: step(machine, s, x))
+            for x in machine.alphabet
+        ]
+    header = [corner] + [col for col, _, _ in columns]
+    rows = []
+    for s in subjects:
+        row_label = label(s)
+        rows.append([row_label] + [cell_text(row_label, key, cell(s)) for _, key, cell in columns])
+    if not rows and kind == "block":
+        return _layout(header, []) + "\n(no multi-block definable sets occur in the table)"
 
     text = _layout(header, rows)
     for mark, note in notes:
@@ -406,10 +398,7 @@ def parse_state_input_map(text: str):
     """
     state_map = {}
     input_map = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _split(line)
-        if not tokens:
-            continue
+    for lineno, line, tokens in _rows(text):
         keyword = tokens[0]
         if keyword not in ("state", "input"):
             raise ParseError(f"unknown directive {keyword!r}", lineno, _column(line, 0))
@@ -426,10 +415,7 @@ def parse_state_input_map(text: str):
 def parse_wiring_triples(text: str) -> list[tuple[str, str, str]]:
     """Read a wiring file of `STATE INPUT FED_INPUT` lines, in order."""
     triples = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _split(line)
-        if not tokens:
-            continue
+    for lineno, line, tokens in _rows(text):
         if len(tokens) != 3:
             raise ParseError("wiring line needs STATE INPUT FED_INPUT", lineno, _column(line, 0))
         triples.append(tuple(_names(tokens, 0, 3, line, lineno, "wiring entry")))
@@ -443,10 +429,7 @@ def parse_bridge(text: str) -> InputBridge:
     """
     carrier = []
     decode = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _split(line)
-        if not tokens:
-            continue
+    for lineno, line, tokens in _rows(text):
         if len(tokens) != 3:
             raise ParseError("bridge line needs SYMBOL FIRST SECOND", lineno, _column(line, 0))
         u, x1, x2 = _names(tokens, 0, 3, line, lineno, "bridge entry")

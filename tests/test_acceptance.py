@@ -170,18 +170,18 @@ def test_criterion_3_relabeling_homomorphism(fixtures_dir):
     state_map, input_map = parse_state_input_map(
         (fixtures_dir / "relabel_pair.map").read_text()
     )
-    good = check_homomorphism(m1, m2, MorphismPair(state_map, input_map), depth=2)
+    good = check_homomorphism(m1, m2, MorphismPair(state_map, input_map))
     assert good.holds and good.counterexample is None
 
     swapped = {"a": input_map["b"], "b": input_map["a"]}
-    bad = check_homomorphism(m1, m2, MorphismPair(state_map, swapped), depth=2)
+    bad = check_homomorphism(m1, m2, MorphismPair(state_map, swapped))
     assert not bad.holds
     assert bad.counterexample == ("q1", "a")
 
     record(
         3,
         good.holds and not bad.holds,
-        "relabeling pair holds at depth 2; swapped input map fails at (q1, a)",
+        "relabeling pair holds; swapped input map fails at (q1, a)",
     )
 
 

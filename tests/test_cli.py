@@ -200,6 +200,24 @@ class TestProduct:
         code, out, err = run_cli(capsys, "product", m5_path, m5_path)
         assert code == 2
 
+    def test_colliding_state_names_exit_two(self, capsys, tmp_path):
+        # States x,y and x times y,z and z: two product states print as (x,y,z).
+        paths = []
+        for name, states in (("m1", ("x,y", "x")), ("m2", ("y,z", "z"))):
+            path = tmp_path / f"{name}.machine"
+            path.write_text(
+                f"machine {name}\nstates {' '.join(states)}\n"
+                + "".join(f"block {q}\n" for q in states)
+                + "inputs a\n"
+                + "".join(f"trans {q} a lower {{ {q} }} upper {{ {q} }}\n" for q in states)
+            )
+            paths.append(str(path))
+        out_path = tmp_path / "product.machine"
+        code, out, err = run_cli(capsys, "product", *paths, "--kind", "full", "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert "both print as (x,y,z)" in err
+        assert not out_path.exists()
+
 
 class TestCheckCommands:
     def test_homomorphism_holds(self, capsys, fixtures_dir):
@@ -229,6 +247,20 @@ class TestCheckCommands:
         )
         assert code == 1
         assert out.startswith("fails at (q1, a)")
+
+    def test_homomorphism_check_takes_no_depth(self, capsys, fixtures_dir):
+        code, out, err = run_cli(
+            capsys,
+            "check-hom",
+            str(fixtures_dir / "relabel_source.machine"),
+            str(fixtures_dir / "relabel_target.machine"),
+            "--map",
+            str(fixtures_dir / "relabel_pair.map"),
+            "--depth",
+            "2",
+        )
+        assert code == 2
+        assert "--depth" in err
 
     def test_identity_covering(self, capsys, tmp_path, m5_path, five_state):
         identity = tmp_path / "identity.map"
@@ -260,6 +292,20 @@ class TestCheckCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: word runs has ")
+
+    def test_negative_depth_exits_two(self, capsys, tmp_path, m5_path, five_state):
+        identity = tmp_path / "identity.map"
+        identity.write_text(
+            "\n".join(f"state {q} {q}" for q in five_state.space.states)
+            + "\ninput a a\ninput b b\n"
+        )
+        code, out, err = run_cli(
+            capsys, "check-cover", m5_path, m5_path, "--map", str(identity), "--depth", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: depth must not be negative")
+        code, out, err = run_cli(capsys, "search-cover", m5_path, m5_path, "--depth", "-1")
+        assert (code, out) == (2, "")
 
 
 class TestSearchCover:

@@ -73,6 +73,15 @@ class TestMakePartition:
         with pytest.raises(NonPartition):
             make_partition(["q1", "q2"], [["q1", "q1"], ["q2"]])
 
+    def test_spaces_built_apart_compare_and_hash_by_value(self):
+        first = make_partition(["q1", "q2", "q3"], [["q3"], ["q2", "q1"]])
+        second = make_partition(["q1", "q2", "q3"], [["q1", "q2"], ["q3"]])
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert first != make_partition(["q1", "q2", "q3"], [["q1"], ["q2"], ["q3"]])
+        assert first != first.states
+
 
 class TestApproximate:
     def test_empty_subset(self):

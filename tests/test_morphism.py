@@ -17,7 +17,8 @@ from roughfsm import (
     restricted_direct,
     search_coverings,
 )
-from roughfsm.errors import BudgetExceeded, NotOnto, TotalityError
+from roughfsm import morphism
+from roughfsm.errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
 from roughfsm.generate import exact_machine, random_machine, random_partition
 from roughfsm.morphism import CheckResult
 
@@ -41,8 +42,7 @@ def identity_covering(machine):
 class TestHomomorphism:
     def test_relabeling_is_a_homomorphism(self, relabel_trio):
         m1, m2, pair = relabel_trio
-        assert check_homomorphism(m1, m2, pair, depth=0)
-        assert check_homomorphism(m1, m2, pair, depth=2)
+        assert check_homomorphism(m1, m2, pair)
 
     def test_relabeling_is_an_isomorphism(self, relabel_trio):
         m1, m2, pair = relabel_trio
@@ -60,7 +60,7 @@ class TestHomomorphism:
     def test_swapped_input_map_fails_concretely(self, relabel_trio):
         m1, m2, pair = relabel_trio
         swapped = MorphismPair(pair.state_map, {"a": "d", "b": "c"})
-        result = check_homomorphism(m1, m2, swapped, depth=2)
+        result = check_homomorphism(m1, m2, swapped)
         assert not result
         assert result.counterexample == ("q1", "a")
         assert "lower" in result.reason
@@ -88,9 +88,10 @@ class TestHomomorphism:
         with pytest.raises(TotalityError):
             check_homomorphism(m1, m2, MorphismPair(pair.state_map, {"a": "c", "b": "zz"}))
 
-    def test_letter_level_follows_from_word_level(self):
-        # Whenever the check passes with word runs it must also pass with
-        # letters alone; seeded random pairs probe the implication.
+    def test_letters_decide_every_word_up_to_four(self):
+        # Blocks and table entries decide the word runs too (see the
+        # morphism module), so the verdict must match the brute force
+        # over all words of length 1..4.
         rng = random.Random(5)
         for _ in range(40):
             m1 = random_machine(rng, max_states=3, name="m1")
@@ -98,8 +99,7 @@ class TestHomomorphism:
             f = {q: rng.choice(m2.space.states) for q in m1.space.states}
             g = {x: rng.choice(m2.alphabet) for x in m1.alphabet}
             pair = MorphismPair(f, g)
-            if check_homomorphism(m1, m2, pair, depth=2):
-                assert check_homomorphism(m1, m2, pair, depth=0)
+            assert check_homomorphism(m1, m2, pair).holds == oracles.brute_homomorphic(m1, m2, f, g, 4)
 
 
 class TestCovering:
@@ -173,6 +173,32 @@ class TestCovering:
                     assert check_covering(m1, m3, CoveringPair(eta, xi), depth=1)
                     composed_any = True
         assert composed_any
+
+    def test_covered_block_needs_the_union_of_two_images(self):
+        # eta sends the singleton blocks {s} and {t} onto the halves u and
+        # v of m1's one block, so m1's entry {u,v} lies inside the image
+        # of m2's entry only when that entry keeps both blocks.
+        s1 = make_partition(["u", "v"], [["u", "v"]])
+        full1 = RoughSet(s1.full_set(), s1.full_set())
+        m1 = make_machine(s1, ("a",), {("u", "a"): full1, ("v", "a"): full1}, name="halves")
+        s2 = make_partition(["s", "t"], [["s"], ["t"]])
+        full2 = RoughSet(s2.full_set(), s2.full_set())
+        m2 = make_machine(s2, ("a",), {("s", "a"): full2, ("t", "a"): full2}, name="split")
+        eta, xi = {"s": "u", "t": "v"}, {"a": "a"}
+        for depth in (1, 2, 3):
+            assert TestAgainstOracles.assert_cover(m1, m2, eta, xi, depth)
+
+        only_s = RoughSet(s2.definable([s2.block_id("s")]), s2.full_set())
+        m2 = make_machine(s2, ("a",), {("s", "a"): only_s, ("t", "a"): full2}, name="split")
+        result = TestAgainstOracles.assert_cover(m1, m2, eta, xi, 1)
+        assert result.counterexample == ("s", "a")
+        assert side_of(result) == "lower"
+
+    def test_negative_depth_rejected(self, five_state):
+        with pytest.raises(BadDepth):
+            check_covering(five_state, five_state, identity_covering(five_state), depth=-3)
+        with pytest.raises(BadDepth):
+            search_coverings(five_state, five_state, depth=-1)
 
     def test_xi_word_maps_symbol_by_symbol(self):
         pair = CoveringPair({}, {"a": "x", "b": "y"})
@@ -279,7 +305,7 @@ class TestAgainstOracles:
 
     @staticmethod
     def assert_hom(m1, m2, f, g, depth):
-        result = check_homomorphism(m1, m2, MorphismPair(f, g), depth)
+        result = check_homomorphism(m1, m2, MorphismPair(f, g))
         failures = oracles.homomorphism_failures(m1, m2, f, g, depth)
         assert result.holds == (not failures)
         if not result:
@@ -347,7 +373,7 @@ class TestAgainstOracles:
 
 
 class TestWordRunBudget:
-    """The word pass of both checks stops at 1,000,000 pairs of runs."""
+    """The covering's word pass stops at 1,000,000 pairs of runs; homomorphisms run no words."""
 
     def restricted_in_full(self, five_state):
         narrow = restricted_direct(five_state, five_state)
@@ -364,15 +390,21 @@ class TestWordRunBudget:
         assert err.value.size > 1_000_000
         assert "word runs" in str(err.value)
 
-    def test_deep_homomorphism_check_exceeds_the_budget(self, relabel_trio):
-        m1, m2, pair = relabel_trio
-        with pytest.raises(BudgetExceeded):
-            check_homomorphism(m1, m2, pair, depth=10**9)
+    def test_homomorphism_check_runs_no_words(self, five_state, monkeypatch):
+        wide = full_direct(five_state, five_state)
+        identity = identity_morphism(wide)
 
-    def test_letter_failures_are_reported_before_the_budget(self, relabel_trio):
-        m1, m2, pair = relabel_trio
-        swapped = MorphismPair(pair.state_map, {"a": "d", "b": "c"})
-        assert check_homomorphism(m1, m2, swapped, depth=10**9).counterexample == ("q1", "a")
+        def no_word_runs(*args):
+            raise AssertionError("a homomorphism check ran a word")
+
+        monkeypatch.setattr(morphism, "word_step", no_word_runs)
+        assert check_homomorphism(wide, wide, identity)
+        monkeypatch.undo()
+        assert oracles.brute_homomorphic(wide, wide, identity.state_map, identity.input_map, 3)
+
+    def test_letter_failures_are_reported_before_the_budget(self, five_state):
+        pair = CoveringPair({q: q for q in five_state.space.states}, {"a": "b", "b": "a"})
+        assert check_covering(five_state, five_state, pair, depth=10**9).counterexample == ("q1", "a")
 
 
 class TestCheckResult:

@@ -18,6 +18,7 @@ from roughfsm import (
     wreath,
 )
 from roughfsm.errors import (
+    NameCollision,
     NonDefinableEntry,
     ParseError,
     SemanticError,
@@ -278,6 +279,32 @@ class TestRoundTrip:
         assert "(q1,q1)" in again.space.states
         assert ("a", "b") not in again.alphabet
         assert "(a,b)" in again.alphabet
+
+    def test_colliding_product_names_are_refused(self):
+        # ("x,y", "z") and ("x", "y,z") both print as (x,y,z); a document
+        # naming two states alike could not be parsed back.
+        m1, m2 = colliding_factors()
+        with pytest.raises(NameCollision, match=r"both print as \(x,y,z\)"):
+            serialize_machine(full_direct(m1, m2))
+
+    def test_colliding_symbol_names_are_refused(self):
+        space = core.make_partition(["q"], [["q"]])
+        alphabet = ("(a,b)", ("a", "b"))
+        table = {("q", x): core.approximate(space, ["q"]) for x in alphabet}
+        m = machine_module.make_machine(space, alphabet, table, "symbols")
+        with pytest.raises(NameCollision, match="input symbols"):
+            serialize_machine(m)
+
+
+def colliding_factors():
+    """Two legal one-letter machines whose full product repeats a state name."""
+
+    def one_letter(states, name):
+        space = core.make_partition(states, [[q] for q in states])
+        table = {(q, "a"): core.approximate(space, [q]) for q in states}
+        return machine_module.make_machine(space, ("a",), table, name)
+
+    return one_letter(["x,y", "x"], "m1"), one_letter(["y,z", "z"], "m2")
 
 
 class TestNamesRenderedOnce:
