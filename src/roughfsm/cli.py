@@ -18,7 +18,6 @@ from .errors import ParseError, RoughFsmError, SemanticError
 from .machine import validate_machine, word_step
 from .morphism import CoveringPair, MorphismPair, check_covering, check_homomorphism, search_coverings
 from .products import (
-    WREATH_BUDGET,
     CascadeWiring,
     cascade,
     full_direct,
@@ -58,6 +57,11 @@ def _read(path: str) -> str:
 
 def _load_machine(path: str):
     return parse_machine(_read(path))
+
+
+def _given(args, *names) -> dict:
+    """The options among `names` set on the command line; the library decides the rest."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def cmd_validate(args) -> int:
@@ -119,15 +123,11 @@ def cmd_product(args) -> int:
             raise ParseError("general product needs --bridge")
         result = general_direct(m1, m2, parse_bridge(_read(args.bridge)))
     elif args.kind == "wreath":
-        result = wreath(m1, m2, budget=args.budget)
+        result = wreath(m1, m2, **_given(args, "budget"))
     else:
         if not args.omega:
             raise ParseError("cascade product needs --omega")
-        omega = {}
-        for q2, x2, x1 in parse_wiring_triples(_read(args.omega)):
-            if (q2, x2) in omega:
-                raise ParseError(f"wiring declares ({q2}, {x2}) twice")
-            omega[(q2, x2)] = x1
+        omega = {(q2, x2): x1 for q2, x2, x1 in parse_wiring_triples(_read(args.omega))}
         result = cascade(m1, m2, CascadeWiring(omega))
     text = serialize_machine(result)
     if args.output:
@@ -142,8 +142,7 @@ def cmd_check(args) -> int:
     m1 = _load_machine(args.first)
     m2 = _load_machine(args.second)
     state_map, input_map = parse_state_input_map(_read(args.map))
-    options = {"depth": args.depth} if "depth" in args else {}
-    result = args.check(m1, m2, args.pair(state_map, input_map), **options)
+    result = args.check(m1, m2, args.pair(state_map, input_map), **_given(args, "depth"))
     print(result)
     return 0 if result else 1
 
@@ -151,7 +150,7 @@ def cmd_check(args) -> int:
 def cmd_search_cover(args) -> int:
     m1 = _load_machine(args.first)
     m2 = _load_machine(args.second)
-    found = search_coverings(m1, m2, depth=args.depth, budget=args.budget)
+    found = search_coverings(m1, m2, **_given(args, "depth", "budget"))
     print(f"# found {len(found)} covering(s)")
     for i, pair in enumerate(found, start=1):
         print(f"# covering {i}")
@@ -164,14 +163,14 @@ def cmd_search_cover(args) -> int:
 
 def cmd_verify(args) -> int:
     claim = PROP_CLAIMS[args.prop]
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     kinds = None
     if args.kind:
         if args.prop not in ("3.4", "3.5"):
             raise ParseError("--kind only applies to --prop 3.4 and 3.5")
         kinds = (args.kind,)
-    reports = run_claim_trials(
-        claim, kinds=kinds, seed=args.seed, trials=args.trials, budget=args.budget
-    )
+    reports = run_claim_trials(claim, kinds=kinds, seed=args.seed, trials=args.trials)
     good = 0
     for i, report in enumerate(reports, start=1):
         print(f"trial {i:02d} {report}")
@@ -214,7 +213,7 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--kind", required=True, choices=("full", "restricted", "general", "wreath", "cascade"))
     q.add_argument("--bridge", help="bridge file for the general kind")
     q.add_argument("--omega", help="wiring file for the cascade kind")
-    q.add_argument("--budget", type=int, default=WREATH_BUDGET, help="wreath alphabet cap")
+    q.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="wreath alphabet cap")
     q.add_argument("-o", "--output", help="write the machine here instead of stdout")
     q.set_defaults(func=cmd_product)
 
@@ -228,14 +227,14 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("first")
     q.add_argument("second")
     q.add_argument("--map", required=True, help="map file: state lines read FROM the covering machine")
-    q.add_argument("--depth", type=int, default=2, help="also check words up to this length")
+    q.add_argument("--depth", type=int, default=argparse.SUPPRESS, help="also check words up to this length")
     q.set_defaults(func=cmd_check, check=check_covering, pair=CoveringPair)
 
     q = sub.add_parser("search-cover", help="enumerate all covering map pairs")
     q.add_argument("first")
     q.add_argument("second")
-    q.add_argument("--depth", type=int, default=1)
-    q.add_argument("--budget", type=int, default=1_000_000, help="candidate map pair cap")
+    q.add_argument("--depth", type=int, default=argparse.SUPPRESS)
+    q.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="candidate map pair cap")
     q.set_defaults(func=cmd_search_cover)
 
     q = sub.add_parser("verify", help="run seeded trials of one of the product claims")
@@ -243,7 +242,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--kind", choices=PRODUCT_KINDS, help="narrow claims 3.4/3.5 to one product kind")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--trials", type=int, default=5)
-    q.add_argument("--budget", type=int, default=WREATH_BUDGET)
     q.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("render", help="print a transition table")

@@ -130,10 +130,9 @@ def validate_machine(machine: Machine, strict: bool = False) -> list[Violation]:
     if len(set(machine.alphabet)) != len(machine.alphabet):
         out.append(Violation(None, None, "alphabet lists a symbol twice"))
 
-    expected = {(q, x) for q in machine.space.states for x in machine.alphabet}
-    for key in machine.table:
-        if key not in expected:
-            q, x = key
+    positions, symbols = machine.space._position, machine._symbol_index
+    for q, x in machine.table:
+        if q not in positions or x not in symbols:
             out.append(Violation(q, x, "entry outside the state/alphabet grid"))
     for q in machine.space.states:
         for x in machine.alphabet:

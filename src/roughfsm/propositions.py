@@ -17,6 +17,10 @@ The claims, by their short names used throughout:
                        regrouping isomorphism
   lift                 a covering of m1 by m2 survives taking products
                        with a third machine on either side
+
+Coverings are checked on words up to length 2 for restricted-in-full and
+cascade-in-wreath, on letters for wreath-exchange and lift. Wreaths take
+wreath()'s default budget, which no seeded trial reaches (1,024 letters at most).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .morphism import (
     search_coverings,
 )
 from .products import (
-    WREATH_BUDGET,
     CascadeWiring,
     FunctionSymbol,
     cascade,
@@ -71,12 +74,15 @@ class WitnessReport:
     """
 
     claim: str
-    holds: bool
     subject: Machine
     witness: Machine
     pair: object
     result: CheckResult
     detail: str = ""
+
+    @property
+    def holds(self) -> bool:
+        return self.result.holds
 
     @property
     def counterexample(self):
@@ -107,20 +113,20 @@ def witness_restricted_in_full(m1: Machine, m2: Machine, depth: int = 2) -> Witn
         {x: (x, x) for x in narrow.alphabet},
     )
     result = check_covering(narrow, wide, pair, depth)
-    return WitnessReport("restricted-in-full", result.holds, narrow, wide, pair, result)
+    return WitnessReport("restricted-in-full", narrow, wide, pair, result)
 
 
 def witness_wreath_exchange(
-    m1: Machine, m2: Machine, m3: Machine, m4: Machine, depth: int = 1, budget: int = WREATH_BUDGET
+    m1: Machine, m2: Machine, m3: Machine, m4: Machine, depth: int = 1
 ) -> WitnessReport:
     """(m1 wr m2) x (m3 wr m4) is covered by (m1 x m3) wr (m2 x m4).
 
     The state map regroups ((a,c),(b,d)) back to ((a,b),(c,d)); the
     input map pairs the two function symbols pointwise over (q2,q4).
     """
-    left = full_direct(wreath(m1, m2, budget), wreath(m3, m4, budget))
+    left = full_direct(wreath(m1, m2), wreath(m3, m4))
     inner = full_direct(m2, m4)
-    outer = wreath(full_direct(m1, m3), inner, budget)
+    outer = wreath(full_direct(m1, m3), inner)
 
     eta = {}
     for (q1, q3), (q2, q4) in outer.space.states:
@@ -136,11 +142,11 @@ def witness_wreath_exchange(
 
     pair = CoveringPair(eta, xi)
     result = check_covering(left, outer, pair, depth)
-    return WitnessReport("wreath-exchange", result.holds, left, outer, pair, result)
+    return WitnessReport("wreath-exchange", left, outer, pair, result)
 
 
 def witness_cascade_in_wreath(
-    m1: Machine, m2: Machine, wiring: CascadeWiring, depth: int = 2, budget: int = WREATH_BUDGET
+    m1: Machine, m2: Machine, wiring: CascadeWiring, depth: int = 2
 ) -> WitnessReport:
     """A cascade is the wreath restricted to its wiring's function symbols.
 
@@ -148,14 +154,14 @@ def witness_cascade_in_wreath(
     every second-factor state; states map identically.
     """
     narrow = cascade(m1, m2, wiring)
-    wide = wreath(m1, m2, budget)
+    wide = wreath(m1, m2)
     xi = {
         x2: (FunctionSymbol(m2.space.states, tuple(wiring.feed(q2, x2) for q2 in m2.space.states)), x2)
         for x2 in m2.alphabet
     }
     pair = CoveringPair({q: q for q in wide.space.states}, xi)
     result = check_covering(narrow, wide, pair, depth)
-    return WitnessReport("cascade-in-wreath", result.holds, narrow, wide, pair, result)
+    return WitnessReport("cascade-in-wreath", narrow, wide, pair, result)
 
 
 def _regroup_states(left: Machine):
@@ -168,7 +174,6 @@ def assoc_isomorphism(
     m2: Machine,
     m3: Machine,
     wirings: tuple[CascadeWiring, CascadeWiring] | None = None,
-    budget: int = WREATH_BUDGET,
 ) -> WitnessReport:
     """Regrouping isomorphism between (m1 # m2) # m3 and m1 # (m2 # m3).
 
@@ -186,10 +191,9 @@ def assoc_isomorphism(
         right = restricted_direct(m1, restricted_direct(m2, m3))
         g = {x: x for x in left.alphabet}
     elif kind == "wreath":
-        inner_left = wreath(m1, m2, budget)
-        left = wreath(inner_left, m3, budget)
-        inner_right = wreath(m2, m3, budget)
-        right = wreath(m1, inner_right, budget)
+        left = wreath(wreath(m1, m2), m3)
+        inner_right = wreath(m2, m3)
+        right = wreath(m1, inner_right)
         g = {}
         for F, x3 in left.alphabet:
             curried = FunctionSymbol(
@@ -221,9 +225,7 @@ def assoc_isomorphism(
 
     pair = MorphismPair(_regroup_states(left), g)
     result = check_isomorphism(left, right, pair)
-    return WitnessReport(
-        "associativity", result.holds, left, right, pair, result, detail=kind
-    )
+    return WitnessReport("associativity", left, right, pair, result, detail=kind)
 
 
 def _first_preimage(xi: dict, alphabet, y):
@@ -241,15 +243,13 @@ def lift_covering(
     m3: Machine,
     side: str = "left",
     wiring: CascadeWiring | None = None,
-    depth: int = 1,
-    budget: int = WREATH_BUDGET,
 ) -> WitnessReport:
     """Lift a covering of m1 by m2 through a product with m3.
 
     side="left" varies the covered factor in first position (m1 # m3
     within m2 # m3), side="right" in second position. The input pair
-    must actually cover at the requested depth (PreconditionFailed
-    otherwise).
+    must cover on letters (PreconditionFailed otherwise), and the lifted
+    pair is checked on letters too, at depth 1.
 
     Kind specifics: restricted needs all three alphabets equal, and the
     lifted pair keeps xi as its translation; since the unchanged factor
@@ -264,9 +264,9 @@ def lift_covering(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, not {side!r}")
-    base = check_covering(m1, m2, pair, depth)
+    base = check_covering(m1, m2, pair, depth=1)
     if not base:
-        raise PreconditionFailed(f"the given pair does not cover at depth {depth}: {base}")
+        raise PreconditionFailed(f"the given pair does not cover at depth 1: {base}")
 
     eta, xi = pair.state_map, pair.input_map
 
@@ -287,7 +287,7 @@ def lift_covering(
         xi2 = dict(xi)
     elif kind == "wreath":
         if side == "left":
-            covered, cover = wreath(m1, m3, budget), wreath(m2, m3, budget)
+            covered, cover = wreath(m1, m3), wreath(m2, m3)
             xi2 = {}
             for f, x3 in covered.alphabet:
                 translated = FunctionSymbol(
@@ -295,7 +295,7 @@ def lift_covering(
                 )
                 xi2[(f, x3)] = (translated, x3)
         else:
-            covered, cover = wreath(m3, m1, budget), wreath(m3, m2, budget)
+            covered, cover = wreath(m3, m1), wreath(m3, m2)
             xi2 = {}
             for f, x1 in covered.alphabet:
                 composed = FunctionSymbol(
@@ -336,10 +336,8 @@ def lift_covering(
     else:
         eta2 = {(q3, q2): (q3, eta[q2]) for (q3, q2) in cover.space.states}
     lifted = CoveringPair(eta2, xi2)
-    result = check_covering(covered, cover, lifted, depth)
-    return WitnessReport(
-        "lift", result.holds, covered, cover, lifted, result, detail=f"{kind}/{side}"
-    )
+    result = check_covering(covered, cover, lifted, depth=1)
+    return WitnessReport("lift", covered, cover, lifted, result, detail=f"{kind}/{side}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +352,22 @@ CLAIM_NAMES = (
 )
 
 
-def _assoc_trial(rng: random.Random, kind: str, budget: int) -> WitnessReport:
+def _assoc_trial(rng: random.Random, kind: str) -> WitnessReport:
     if kind in ("full", "restricted"):
         alphabet = ("a", "b") if kind == "restricted" else None
         ms = [generate.random_machine(rng, max_states=3, alphabet=alphabet, name=f"m{i}") for i in (1, 2, 3)]
-        return assoc_isomorphism(kind, *ms, budget=budget)
+        return assoc_isomorphism(kind, *ms)
     if kind == "wreath":
         m1 = generate.random_machine(rng, max_states=3, name="m1")
         m2 = generate.random_machine(rng, max_states=2, name="m2")
         m3 = generate.random_machine(rng, max_states=2, name="m3")
-        return assoc_isomorphism(kind, m1, m2, m3, budget=budget)
+        return assoc_isomorphism(kind, m1, m2, m3)
     m1 = generate.random_machine(rng, max_states=3, name="m1")
     m2 = generate.random_machine(rng, max_states=3, name="m2")
     m3 = generate.random_machine(rng, max_states=3, name="m3")
     w1 = generate.random_wiring(rng, m1, m2)
     w2 = generate.random_wiring(rng, m2, m3)
-    return assoc_isomorphism(kind, m1, m2, m3, wirings=(w1, w2), budget=budget)
+    return assoc_isomorphism(kind, m1, m2, m3, wirings=(w1, w2))
 
 
 def _covered_pair(rng: random.Random, shared_alphabet: tuple):
@@ -392,14 +390,13 @@ def run_claim_trials(
     kinds: tuple[str, ...] | None = None,
     seed: int = 0,
     trials: int = 5,
-    budget: int = WREATH_BUDGET,
-    depth: int = 1,
 ) -> list[WitnessReport]:
     """Run `trials` seeded random instances of one claim.
 
     `kinds` narrows the associativity and lift claims to given product
-    kinds (default: all four). Reports come back in generation order;
-    the caller decides what a failure means.
+    kinds (default: all four). Witnesses and searches run at their own
+    default depths. Reports come back in generation order; the caller
+    decides what a failure means.
     """
     rng = random.Random(seed)
     reports: list[WitnessReport] = []
@@ -408,30 +405,30 @@ def run_claim_trials(
         for _ in range(trials):
             m1 = generate.random_machine(rng, max_states=3, alphabet=("a", "b"), name="m1")
             m2 = generate.random_machine(rng, max_states=3, alphabet=("a", "b"), name="m2")
-            reports.append(witness_restricted_in_full(m1, m2, depth=max(depth, 2)))
+            reports.append(witness_restricted_in_full(m1, m2))
     elif claim == "wreath-exchange":
         for _ in range(trials):
             ms = [
                 generate.random_machine(rng, max_states=2, name=f"m{i}")
                 for i in (1, 2, 3, 4)
             ]
-            reports.append(witness_wreath_exchange(*ms, depth=depth, budget=budget))
+            reports.append(witness_wreath_exchange(*ms))
     elif claim == "cascade-in-wreath":
         for _ in range(trials):
             m1 = generate.random_machine(rng, max_states=3, name="m1")
             m2 = generate.random_machine(rng, max_states=2, name="m2")
             wiring = generate.random_wiring(rng, m1, m2)
-            reports.append(witness_cascade_in_wreath(m1, m2, wiring, depth=max(depth, 2), budget=budget))
+            reports.append(witness_cascade_in_wreath(m1, m2, wiring))
     elif claim == "associativity":
         for kind in kinds or PRODUCT_KINDS:
             for _ in range(trials):
-                reports.append(_assoc_trial(rng, kind, budget))
+                reports.append(_assoc_trial(rng, kind))
     elif claim == "lift":
         for kind in kinds or PRODUCT_KINDS:
             done = 0
             while done < trials:
                 m1, m2 = _covered_pair(rng, ("a", "b"))
-                found = search_coverings(m1, m2, depth=depth)
+                found = search_coverings(m1, m2)
                 # The restricted lift keeps the input translation as is, and
                 # the unchanged factor reads the shared alphabet directly, so
                 # a translation that permutes it can genuinely fail; trials
@@ -458,9 +455,7 @@ def run_claim_trials(
                 wiring = None
                 if kind == "cascade":
                     wiring = generate.random_wiring(rng, *((m1, m3) if side == "left" else (m3, m1)))
-                reports.append(
-                    lift_covering(kind, pair, m1, m2, m3, side=side, wiring=wiring, depth=depth, budget=budget)
-                )
+                reports.append(lift_covering(kind, pair, m1, m2, m3, side=side, wiring=wiring))
                 done += 1
     else:
         raise ValueError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIM_NAMES)}")

@@ -413,13 +413,16 @@ def parse_state_input_map(text: str):
 
 
 def parse_wiring_triples(text: str) -> list[tuple[str, str, str]]:
-    """Read a wiring file of `STATE INPUT FED_INPUT` lines, in order."""
-    triples = []
+    """Read a wiring file of `STATE INPUT FED_INPUT` lines, in order, each (STATE, INPUT) once."""
+    fed = {}
     for lineno, line, tokens in _rows(text):
         if len(tokens) != 3:
             raise ParseError("wiring line needs STATE INPUT FED_INPUT", lineno, _column(line, 0))
-        triples.append(tuple(_names(tokens, 0, 3, line, lineno, "wiring entry")))
-    return triples
+        q2, x2, x1 = _names(tokens, 0, 3, line, lineno, "wiring entry")
+        if (q2, x2) in fed:
+            raise ParseError(f"wiring declares ({q2}, {x2}) twice", lineno, _column(line, 0))
+        fed[(q2, x2)] = x1
+    return [(q2, x2, x1) for (q2, x2), x1 in fed.items()]
 
 
 def parse_bridge(text: str) -> InputBridge:

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from roughfsm import (
+    RoughSet,
     full_direct,
     general_direct,
+    make_machine,
+    make_partition,
     parse_machine,
     restricted_direct,
     serialize_machine,
     wreath,
 )
-from roughfsm.cli import main
+from roughfsm.cli import _parser, main
 from roughfsm.generate import exact_machine
 from roughfsm.products import InputBridge
 
@@ -33,6 +38,40 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def letters_only_paths(tmp_path):
+    """Machine, machine and map files of a covering that holds on letters only.
+
+    It fails at (s, aa): on the covered side the run of aa unions over
+    the whole block {u, v}.
+    """
+    s1 = make_partition(["u", "v"], [["u", "v"]])
+    blocky = make_machine(
+        s1,
+        ("a",),
+        {
+            ("u", "a"): RoughSet(s1.empty_set(), s1.full_set()),
+            ("v", "a"): RoughSet(s1.full_set(), s1.full_set()),
+        },
+        name="blocky",
+    )
+    s2 = make_partition(["s", "t"], [["s"], ["t"]])
+    fine = make_machine(
+        s2,
+        ("a",),
+        {
+            ("s", "a"): RoughSet(s2.empty_set(), s2.full_set()),
+            ("t", "a"): RoughSet(s2.full_set(), s2.full_set()),
+        },
+        name="fine",
+    )
+    paths = [tmp_path / "blocky.machine", tmp_path / "fine.machine", tmp_path / "pair.map"]
+    paths[0].write_text(serialize_machine(blocky))
+    paths[1].write_text(serialize_machine(fine))
+    paths[2].write_text("state s u\nstate t v\ninput a a\n")
+    return [str(path) for path in paths]
 
 
 class TestValidate:
@@ -196,6 +235,13 @@ class TestProduct:
         assert code == 0
         assert parse_machine(out) == wreath(five_state, five_state)
 
+    def test_wreath_budget_defaults_to_the_library(self, capsys, tmp_path, m5_path):
+        argv = ["product", m5_path, m5_path, "--kind", "wreath", "-o"]
+        unset, explicit = tmp_path / "unset.machine", tmp_path / "explicit.machine"
+        assert run_cli(capsys, *argv, str(unset)) == (0, "", "")
+        assert run_cli(capsys, *argv, str(explicit), "--budget", "4096") == (0, "", "")
+        assert unset.read_bytes() == explicit.read_bytes()
+
     def test_kind_is_required(self, capsys, m5_path):
         code, out, err = run_cli(capsys, "product", m5_path, m5_path)
         assert code == 2
@@ -293,6 +339,15 @@ class TestCheckCommands:
         assert out == ""
         assert err.startswith("error: word runs has ")
 
+    def test_cover_depth_defaults_to_two(self, capsys, letters_only_paths):
+        first, second, pair = letters_only_paths
+        argv = ["check-cover", first, second, "--map", pair]
+        unset = run_cli(capsys, *argv)
+        assert unset == run_cli(capsys, *argv, "--depth", "2")
+        assert unset[0] == 1
+        assert unset[1].startswith("fails at (s, (a,a))")
+        assert run_cli(capsys, *argv, "--depth", "1")[:2] == (0, "holds\n")
+
     def test_negative_depth_exits_two(self, capsys, tmp_path, m5_path, five_state):
         identity = tmp_path / "identity.map"
         identity.write_text(
@@ -328,6 +383,14 @@ class TestSearchCover:
         assert code == 2
         assert "candidates" in err
 
+    def test_defaults_match_the_library(self, capsys, one_state_path, m5_path, letters_only_paths):
+        for first, second in [(one_state_path, m5_path), letters_only_paths[:2]]:
+            unset = run_cli(capsys, "search-cover", first, second)
+            assert unset[0] == 0
+            assert unset == run_cli(
+                capsys, "search-cover", first, second, "--depth", "1", "--budget", "1000000"
+            )
+
 
 class TestVerify:
     def test_claim_trials_pass(self, capsys):
@@ -360,6 +423,22 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--prop", "9.9")
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify", "--prop", "3.1", "--trials", trials)
+        assert (code, out) == (2, "")
+        assert "--trials" in err
+
+    def test_one_trial_runs(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--prop", "3.1", "--trials", "1")
+        assert code == 0
+        assert out.endswith("1/1 hold\n")
+
+    def test_budget_flag_is_gone(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--prop", "3.2", "--budget", "5")
+        assert (code, out) == (2, "")
+        assert "--budget" in err
+
 
 class TestTopLevel:
     def test_no_arguments(self, capsys):
@@ -369,3 +448,20 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         assert main(["pivot"]) == 2
         capsys.readouterr()
+
+
+def readme_command_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("roughfsm ")]
+
+
+def test_readme_has_command_examples():
+    assert len(readme_command_lines()) >= 10
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_parses(line):
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "roughfsm"
+    _parser().parse_args(argv[1:])

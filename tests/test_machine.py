@@ -322,10 +322,17 @@ class TestValidateMachine:
         table = dict(five_state.table)
         del table[("q1", "a")]
         table[("q1", "z")] = table[("q1", "b")]
+        table[("q9", "a")] = table[("q1", "b")]
+        table[("q2", "y")] = table[("q1", "b")]
         m = Machine(five_state.space, five_state.alphabet, table)
-        reasons = {(v.state, v.symbol): v.reason for v in validate_machine(m)}
-        assert "missing" in reasons[("q1", "a")]
-        assert "outside" in reasons[("q1", "z")]
+        found = [(v.state, v.symbol, v.reason) for v in validate_machine(m)]
+        outside = "entry outside the state/alphabet grid"
+        assert found == [
+            ("q1", "z", outside),
+            ("q9", "a", outside),
+            ("q2", "y", outside),
+            ("q1", "a", "missing table entry"),
+        ]
 
     def test_non_rough_entry_and_foreign_space_reported(self):
         space = make_partition(["q1"], [["q1"]])

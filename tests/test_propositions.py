@@ -14,9 +14,10 @@ from roughfsm import (
     witness_restricted_in_full,
     witness_wreath_exchange,
 )
+from roughfsm import propositions
 from roughfsm.errors import AlphabetMismatch, PreconditionFailed
 from roughfsm.generate import exact_machine, random_machine
-from roughfsm.morphism import CheckResult
+from roughfsm.morphism import CheckResult, check_covering, check_isomorphism
 from roughfsm.propositions import CLAIM_NAMES, PRODUCT_KINDS, WitnessReport
 
 
@@ -212,6 +213,34 @@ class TestRunClaimTrials:
             assert reports
             assert all(r.claim == claim for r in reports)
 
+    # Words up to this length are checked for each covering claim.
+    COVER_DEPTHS = {
+        "restricted-in-full": 2,
+        "cascade-in-wreath": 2,
+        "wreath-exchange": 1,
+        "lift": 1,
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_claim_checks_at_its_depth(self, monkeypatch, seed):
+        depths = []
+
+        def recording(m1, m2, pair, depth):
+            depths.append(depth)
+            return check_covering(m1, m2, pair, depth)
+
+        monkeypatch.setattr(propositions, "check_covering", recording)
+        for claim in CLAIM_NAMES:
+            depths.clear()
+            for report in run_claim_trials(claim, seed=seed, trials=2):
+                if claim == "associativity":
+                    fresh = check_isomorphism(report.subject, report.witness, report.pair)
+                else:
+                    depth = self.COVER_DEPTHS[claim]
+                    fresh = check_covering(report.subject, report.witness, report.pair, depth)
+                assert report.result == fresh
+            assert set(depths) == ({self.COVER_DEPTHS[claim]} if claim in self.COVER_DEPTHS else set())
+
     def test_same_seed_reproduces_the_run(self):
         first = run_claim_trials("restricted-in-full", seed=12, trials=3)
         second = run_claim_trials("restricted-in-full", seed=12, trials=3)
@@ -221,9 +250,8 @@ class TestRunClaimTrials:
 class TestWitnessReport:
     def test_failure_formatting(self, five_state):
         result = CheckResult(False, "broken", ("q1", "a"))
-        report = WitnessReport(
-            "lift", False, five_state, five_state, None, result, detail="full/left"
-        )
+        report = WitnessReport("lift", five_state, five_state, None, result, detail="full/left")
+        assert report.holds == result.holds
         assert not report
         assert report.counterexample == ("q1", "a")
         text = str(report)

@@ -493,6 +493,11 @@ class TestMapParsers:
         with pytest.raises(ParseError, match="STATE INPUT FED_INPUT"):
             parse_wiring_triples("q1 a\n")
 
+    def test_repeated_wiring_pair_pins_line_and_column(self):
+        with pytest.raises(ParseError, match=re.escape("declares (q1, a) twice")) as err:
+            parse_wiring_triples("q1 a a\nq1 a b\n")
+        assert (err.value.line, err.value.column) == (2, 1)
+
     def test_bridge_parsing(self):
         bridge = parse_bridge("u a c\nv b d\n")
         assert bridge.carrier == ("u", "v")
