@@ -163,14 +163,14 @@ def cmd_search_cover(args) -> int:
 
 def cmd_verify(args) -> int:
     claim = PROP_CLAIMS[args.prop]
-    if args.trials < 1:
+    if "trials" in args and args.trials < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     kinds = None
     if args.kind:
         if args.prop not in ("3.4", "3.5"):
             raise ParseError("--kind only applies to --prop 3.4 and 3.5")
         kinds = (args.kind,)
-    reports = run_claim_trials(claim, kinds=kinds, seed=args.seed, trials=args.trials)
+    reports = run_claim_trials(claim, kinds=kinds, **_given(args, "seed", "trials"))
     good = 0
     for i, report in enumerate(reports, start=1):
         print(f"trial {i:02d} {report}")
@@ -240,8 +240,8 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("verify", help="run seeded trials of one of the product claims")
     q.add_argument("--prop", required=True, choices=sorted(PROP_CLAIMS))
     q.add_argument("--kind", choices=PRODUCT_KINDS, help="narrow claims 3.4/3.5 to one product kind")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--trials", type=int, default=5)
+    q.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    q.add_argument("--trials", type=int, default=argparse.SUPPRESS)
     q.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("render", help="print a transition table")

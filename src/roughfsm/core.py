@@ -137,7 +137,7 @@ class ApproximationSpace:
         return DefinableSet(self, ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefinableSet:
     """A union of blocks of one approximation space.
 
@@ -194,7 +194,7 @@ class DefinableSet:
         return DefinableSet(self.space, self.block_ids - other.block_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoughSet:
     """A lower and an upper approximation over one shared space.
 

@@ -24,9 +24,14 @@ the covered side's run unions over the whole block of eta(q2), which no
 entry of q2 controls (`demos/04_coverings.py`). Its condition (ii) is
 checked up to a depth: single letters compare the table entries of the
 paired states, and words of length 2..depth compare word runs from the
-states' blocks, with xi applied letter by letter. That is |Q2| *
-(|X1|^2 + ... + |X1|^depth) pairs of word runs; above 1,000,000 it
-raises BudgetExceeded, which the command line reports with exit code 2.
+states' blocks, with xi applied letter by letter. Past the start blocks
+such a check depends only on the configuration of the two runs, their
+lower and upper block sets, so the word level walks the distinct
+configurations length by length, checks each one once and reports the
+failure a word-by-word enumeration would meet first. The budget still
+counts that enumeration, |Q2| * (|X1|^2 + ... + |X1|^depth) word runs:
+above 1,000,000 it raises BudgetExceeded before the walk, which the
+command line reports with exit code 2.
 
 Both checks share one walker and one containment test: each block
 becomes an int with one bit per state of the side receiving the state
@@ -42,7 +47,7 @@ from typing import Mapping
 
 from .core import ApproximationSpace, value_name
 from .errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
-from .machine import Machine, word_step
+from .machine import Machine
 
 __all__ = [
     "MorphismPair",
@@ -56,6 +61,8 @@ __all__ = [
 
 _BUDGET = 1_000_000
 """Cap on the word run pairs of a check; search_coverings' default cap."""
+
+_COVERED = "covered {side} escapes the eta-image"
 
 
 @dataclass(frozen=True)
@@ -151,21 +158,54 @@ def _blocks_respected(space, mapping: Mapping, target, image: list[int]) -> Chec
     return CheckResult(True)
 
 
-def _escape(r1, r2, masks1, masks2):
-    """"lower" or "upper" for the first part of r1 not inside r2's, else None.
+def _mask(masks, ids) -> int:
+    """The OR of masks[i] over the block ids `ids`."""
+    out = 0
+    for i in ids:
+        out |= masks[i]
+    return out
 
-    Inside means that the OR of the part's masks1 has no bit outside the
-    OR of r2's part's masks2.
+
+def _escape(low1, up1, low2, up2, masks1, masks2):
+    """"lower" or "upper" for the first part of side 1 not inside side 2's, else None.
+
+    Each part is a set of block ids; inside means that the OR of the
+    part's masks1 has no bit outside the OR of side 2's part's masks2.
     """
-    for side, d1, d2 in (("lower", r1.lower, r2.lower), ("upper", r1.upper, r2.upper)):
+    for side, d1, d2 in (("lower", low1, low2), ("upper", up1, up2)):
         inner = outer = 0
-        for i in d1.block_ids:
+        for i in d1:
             inner |= masks1[i]
-        for j in d2.block_ids:
+        for j in d2:
             outer |= masks2[j]
         if inner & ~outer:
             return side
     return None
+
+
+class _BlockSteps(dict):
+    """(block ids, symbol) -> (lower ids, upper ids) of `block_step` from those blocks.
+
+    Each key is computed once, on first use, as the union of the entry
+    parts over the states of the blocks. It does not call the run kernel,
+    whose RoughSet results cost more than the union on most keys.
+    """
+
+    def __init__(self, machine: Machine):
+        super().__init__()
+        self.machine = machine
+
+    def __missing__(self, key):
+        ids, symbol = key
+        blocks, table = self.machine.space.blocks, self.machine.table
+        low, up = set(), set()
+        for i in ids:
+            for q in blocks[i]:
+                r = table[(q, symbol)]
+                low |= r.lower.block_ids
+                up |= r.upper.block_ids
+        out = self[key] = (frozenset(low), frozenset(up))
+        return out
 
 
 def _walk(m1: Machine, m2: Machine, pairs, input_map, masks, reason: str, depth: int) -> CheckResult:
@@ -173,30 +213,79 @@ def _walk(m1: Machine, m2: Machine, pairs, input_map, masks, reason: str, depth:
 
     Each (q, q1, q2) pairs q1 of m1 with q2 of m2; a failure names q and
     the letter or word, and formats `reason` with the failing side.
-    Letters compare table entries, then words of length 2..depth compare
-    word runs. Above _BUDGET pairs of word runs BudgetExceeded is raised
-    first; its size stops at the first length past the budget.
+    Letters compare table entries, state major, then `_words` checks
+    the words of length 2..depth.
     """
     for q, q1, q2 in pairs:
         for x in m1.alphabet:
-            side = _escape(m1.table[(q1, x)], m2.table[(q2, input_map[x])], *masks)
+            e1, e2 = m1.table[(q1, x)], m2.table[(q2, input_map[x])]
+            side = _escape(
+                e1.lower.block_ids, e1.upper.block_ids, e2.lower.block_ids, e2.upper.block_ids, *masks
+            )
             if side:
                 return CheckResult(False, reason.format(side=side), (q, x))
+    if depth < 2:
+        return CheckResult(True)
+    return _words(_BlockSteps(m1), _BlockSteps(m2), pairs, input_map, masks, reason, depth)
 
+
+def _words(steps1, steps2, pairs, input_map, masks, reason: str, depth: int) -> CheckResult:
+    """Check the runs of every word of length 2..depth (at least 2) along `pairs`.
+
+    The budget counts |pairs| * (|X1|^2 + ... + |X1|^depth) word runs,
+    one per word and pair as if each were run from scratch, and raises
+    BudgetExceeded above _BUDGET before anything runs; its size stops
+    at the first length past the budget.
+
+    The walk itself goes level by level over configurations: the lower
+    and upper block ids of both runs. It starts from the distinct pairs
+    of start blocks, and steps a configuration by a letter through the
+    memoized `steps1` and `steps2` of m1 and m2. Whether a run fails
+    depends on its configuration alone, so each distinct configuration
+    is checked once and never stepped again. Each level runs in (word in
+    alphabet order, state order), the order of the word-by-word
+    enumeration, and every copy of a configuration after the first has
+    descendants that come after the first copy's, so the first failure
+    found is the one that enumeration meets first.
+    """
+    alphabet = steps1.machine.alphabet
     size, runs = 0, len(pairs)
     for _ in range(2, depth + 1):
-        runs *= len(m1.alphabet)
+        runs *= len(alphabet)
         size += runs
         if size > _BUDGET:
             raise BudgetExceeded(size, _BUDGET, what="word runs")
 
-    for n in range(2, depth + 1):
-        for word in iter_product(m1.alphabet, repeat=n):
-            mapped = tuple(input_map[x] for x in word)
-            for q, q1, q2 in pairs:
-                side = _escape(word_step(m1, q1, word), word_step(m2, q2, mapped), *masks)
+    def step(config, x):  # the lower track steps to lower parts, the upper to upper ones
+        low1, up1, low2, up2 = config
+        y = input_map[x]
+        return steps1[low1, x][0], steps1[up1, x][1], steps2[low2, y][0], steps2[up2, y][1]
+
+    starts = {}
+    id1, id2 = steps1.machine.space._block_id, steps2.machine.space._block_id
+    for q, q1, q2 in pairs:
+        b1, b2 = frozenset((id1[q1],)), frozenset((id2[q2],))
+        starts.setdefault((b1, b1, b2, b2), q)
+    # Length 2 comes straight from the starts, one run at a time, so an
+    # early failure costs no more steps than the runs before it.
+    level = (
+        ((x, y), q, step(step(start, x), y))
+        for x in alphabet for y in alphabet for start, q in starts.items()
+    )
+    checked = set()
+    for _ in range(2, depth + 1):
+        kept = {}
+        for word, q, config in level:
+            if config not in checked:
+                checked.add(config)
+                side = _escape(*config, *masks)
                 if side:
                     return CheckResult(False, reason.format(side=side), (q, word))
+                kept.setdefault(word, []).append((q, config))
+        level = (
+            (word + (x,), q, step(config, x))
+            for word, group in kept.items() for x in alphabet for q, config in group
+        )
     return CheckResult(True)
 
 
@@ -261,7 +350,7 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     masks = (m1.space.block_masks, image)
     states = m2.space.states
     pairs = list(zip(states, map(eta.__getitem__, states), states))
-    return _walk(m1, m2, pairs, pair.input_map, masks, "covered {side} escapes the eta-image", depth)
+    return _walk(m1, m2, pairs, pair.input_map, masks, _COVERED, depth)
 
 
 def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BUDGET) -> list[CoveringPair]:
@@ -273,6 +362,13 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BU
     `budget` (BudgetExceeded otherwise). Returns [] when nothing passes;
     with fewer states in m2 than in m1 no map is onto, so the result is
     empty without enumeration. A negative depth raises BadDepth.
+
+    The letter conditions factor: block respect depends on eta alone,
+    and each letter's entries on eta and that letter's target. So each
+    onto eta is checked once, each letter gets the list of m2 letters
+    whose entries pass, in alphabet order, and the input maps are the
+    product of those lists, in the same order as the full enumeration.
+    At depth 2 or more only those candidates go on to the word level.
     """
     _require_depth(depth)
     n_states = len(m1.space.states) ** len(m2.space.states)
@@ -283,15 +379,37 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BU
     if len(m2.space.states) < len(m1.space.states):
         return []
 
+    space1, space2 = m1.space, m2.space
+    states = space2.states
+    targets = set(space1.states)
+
+    masks1 = space1.block_masks
+    entries1 = {key: (_mask(masks1, r.lower.block_ids), _mask(masks1, r.upper.block_ids))
+                for key, r in m1.table.items()}
+    ids2 = [(key, r.lower.block_ids, r.upper.block_ids) for key, r in m2.table.items()]
+    steps = (_BlockSteps(m1), _BlockSteps(m2))
     found = []
-    targets = set(m1.space.states)
-    for f_values in iter_product(m1.space.states, repeat=len(m2.space.states)):
+    for f_values in iter_product(space1.states, repeat=len(states)):
         if set(f_values) != targets:
             continue
-        eta = dict(zip(m2.space.states, f_values))
-        for g_values in iter_product(m2.alphabet, repeat=len(m1.alphabet)):
+        eta = dict(zip(states, f_values))
+        image = _image_masks(space2, eta, space1)
+        if not _blocks_respected(space2, eta, space1, image):
+            continue
+        entries2 = {key: (_mask(image, low), _mask(image, up)) for key, low, up in ids2}
+
+        def passes(x, y):
+            for q2, q1 in zip(states, f_values):
+                (low1, up1), (low2, up2) = entries1[(q1, x)], entries2[(q2, y)]
+                if low1 & ~low2 or up1 & ~up2:
+                    return False
+            return True
+
+        choices = [[y for y in m2.alphabet if passes(x, y)] for x in m1.alphabet]
+        pairs = list(zip(states, f_values, states))
+        masks = (masks1, image)
+        for g_values in iter_product(*choices):
             xi = dict(zip(m1.alphabet, g_values))
-            pair = CoveringPair(eta, xi)
-            if check_covering(m1, m2, pair, depth):
-                found.append(pair)
+            if depth < 2 or _words(*steps, pairs, xi, masks, _COVERED, depth):
+                found.append(CoveringPair(eta, xi))
     return found

@@ -67,11 +67,16 @@ class FunctionSymbol:
     domain: tuple
     outputs: tuple
     _at: dict = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.domain) != len(self.outputs):
             raise ShapeMismatch("one output per domain state is required")
         object.__setattr__(self, "_at", dict(zip(self.domain, self.outputs)))
+        object.__setattr__(self, "_hash", hash((self.domain, self.outputs)))
+
+    def __hash__(self):  # symbols key every wreath table entry: hash the tuples once
+        return self._hash
 
     def __call__(self, state):
         try:

@@ -227,3 +227,59 @@ def brute_canonical_key(machine):
         tuple(value_name(x) for x in machine.alphabet),
         tuple(entries),
     )
+
+
+def first_covering_failure(m1, m2, eta, xi, depth):
+    """The first (counterexample, side) refuting a covering, or None.
+
+    Visits the conditions in the order of a word-by-word walker: block
+    respect (cells of m2 in order, against each cell's first member;
+    side None), then every table entry, states of m2 major and letters
+    in alphabet order, then words of length 2..depth by length, in
+    itertools.product order, and m2's states in order for each word.
+    Lower is tried before upper. eta is taken to be onto.
+    """
+    for cell in m2.space.blocks:
+        home = block_states_of(m1.space, eta[cell[0]])
+        for b in cell:
+            if block_states_of(m1.space, eta[b]) != home:
+                return (cell[0], b), None
+
+    def escape(r1, r2):
+        for side, part1, part2 in zip(("lower", "upper"), r1, r2):
+            if not part1 <= frozenset(eta[q] for q in part2):
+                return side
+        return None
+
+    for q2 in m2.space.states:
+        for x in m1.alphabet:
+            side = escape(_entry(m1, eta[q2], x), _entry(m2, q2, xi[x]))
+            if side:
+                return (q2, x), side
+    for w in _words(m1.alphabet, 2, depth):
+        mapped = tuple(xi[x] for x in w)
+        for q2 in m2.space.states:
+            side = escape(word_run_reference(m1, eta[q2], w), word_run_reference(m2, q2, mapped))
+            if side:
+                return (q2, w), side
+    return None
+
+
+def brute_coverings(m1, m2, depth):
+    """Every (eta, xi) under which m2 covers m1 on words up to `depth`.
+
+    State maps run over product(m1's states) per m2 state, onto ones
+    only, and input maps over product(m2's alphabet) per m1 letter,
+    state map major; each candidate is checked from scratch.
+    """
+    found = []
+    targets = set(m1.space.states)
+    for f_values in product(m1.space.states, repeat=len(m2.space.states)):
+        if set(f_values) != targets:
+            continue
+        eta = dict(zip(m2.space.states, f_values))
+        for g_values in product(m2.alphabet, repeat=len(m1.alphabet)):
+            xi = dict(zip(m1.alphabet, g_values))
+            if first_covering_failure(m1, m2, eta, xi, depth) is None:
+                found.append((eta, xi))
+    return found

@@ -17,9 +17,11 @@ from roughfsm import (
     serialize_machine,
     wreath,
 )
+from roughfsm import cli
 from roughfsm.cli import _parser, main
 from roughfsm.generate import exact_machine
 from roughfsm.products import InputBridge
+from roughfsm.propositions import run_claim_trials
 
 
 @pytest.fixture
@@ -428,6 +430,21 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--prop", "3.1", "--trials", trials)
         assert (code, out) == (2, "")
         assert "--trials" in err
+
+    def test_seed_and_trials_default_to_the_library(self, capsys, monkeypatch):
+        unset = run_cli(capsys, "verify", "--prop", "3.2")
+        assert unset[0] == 0 and unset[1].endswith("5/5 hold\n")
+        assert unset == run_cli(capsys, "verify", "--prop", "3.2", "--seed", "0", "--trials", "5")
+        calls = []
+
+        def recorded(claim, **options):
+            calls.append(options)
+            return run_claim_trials(claim, **options)
+
+        monkeypatch.setattr(cli, "run_claim_trials", recorded)
+        run_cli(capsys, "verify", "--prop", "3.1")
+        run_cli(capsys, "verify", "--prop", "3.1", "--seed", "3", "--trials", "1")
+        assert calls == [{"kinds": None}, {"kinds": None, "seed": 3, "trials": 1}]
 
     def test_one_trial_runs(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--prop", "3.1", "--trials", "1")

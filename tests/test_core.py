@@ -221,6 +221,17 @@ class TestDefinableSet:
         assert not space.empty_set()
         assert space.full_set()
 
+    def test_value_semantics_without_instance_dicts(self):
+        first, second = space5().definable([0, 2]), space5().definable([2, 0])
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert len({first, second, space5().definable([1])}) == 2
+        with pytest.raises(AttributeError):
+            first.block_ids = frozenset()
+        with pytest.raises((AttributeError, TypeError)):  # CPython 3.11 raises TypeError here
+            first.note = "extra"
+        assert not hasattr(first, "__dict__")
+
 
 class TestRoughSet:
     def test_boundary_and_exactness(self):
@@ -234,6 +245,18 @@ class TestRoughSet:
         other = make_partition(["q1"], [["q1"]])
         with pytest.raises(MismatchedSpace):
             RoughSet(space5().empty_set(), other.empty_set())
+
+    def test_value_semantics_without_instance_dicts(self):
+        first = RoughSet(space5().definable([1]), space5().definable([0, 1]))
+        second = RoughSet(space5().definable([1]), space5().definable([1, 0]))
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert first != RoughSet(space5().definable([1]), space5().definable([1]))
+        with pytest.raises(AttributeError):
+            first.lower = first.upper
+        with pytest.raises((AttributeError, TypeError)):  # CPython 3.11 raises TypeError here
+            first.note = "extra"
+        assert not hasattr(first, "__dict__")
 
 
 class TestProductPartition:

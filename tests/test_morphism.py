@@ -17,7 +17,8 @@ from roughfsm import (
     restricted_direct,
     search_coverings,
 )
-from roughfsm import morphism
+from roughfsm import machine, morphism
+from roughfsm.machine import block_step
 from roughfsm.errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
 from roughfsm.generate import exact_machine, random_machine, random_partition
 from roughfsm.morphism import CheckResult
@@ -263,12 +264,16 @@ def relabeled(rng, m):
     return make_machine(space, [g[x] for x in m.alphabet], table, "relabeled"), MorphismPair(f, g)
 
 
-def coarse_over_fine(rng, n_states, letters):
+def coarse_over_fine(rng, n_states, letters, extra=0.0):
     """A blocky machine and the same table over a finer partition.
 
     The identity pair passes block respect and every letter, both as a
     covering of the coarse machine by the fine one and as a homomorphism
     from the fine machine to the coarse one, so it reaches the word runs.
+    With `extra`, each fine entry's lower and upper part also gains each
+    fine block with that probability (lower gains go to the upper part
+    too); the covering still passes every letter, the homomorphism no
+    longer need.
     """
     states = [f"q{i}" for i in range(n_states)]
     coarse = random_partition(rng, states, min_block_size=2)
@@ -288,6 +293,11 @@ def coarse_over_fine(rng, n_states, letters):
         return fine.definable(fine.block_id(q) for q in d.states_set())
 
     fine_table = {k: RoughSet(refined(r.lower), refined(r.upper)) for k, r in table.items()}
+    if extra:
+        for k, r in fine_table.items():
+            lower = r.lower | fine.definable(i for i in range(fine.n_blocks) if rng.random() < extra)
+            upper = r.upper | lower | fine.definable(i for i in range(fine.n_blocks) if rng.random() < extra)
+            fine_table[k] = RoughSet(lower, upper)
     identity = ({q: q for q in states}, {x: x for x in letters})
     coarse_machine = make_machine(coarse, letters, table, "coarse")
     return coarse_machine, make_machine(fine, letters, fine_table, "fine"), identity
@@ -372,8 +382,90 @@ class TestAgainstOracles:
         assert word_failures
 
 
+class TestAgainstWordByWord:
+    """Counterexamples and search lists equal those of word-by-word enumeration."""
+
+    @staticmethod
+    def assert_first_failure(m1, m2, eta, xi, depths=range(7)):
+        for depth in depths:
+            result = check_covering(m1, m2, CoveringPair(eta, xi), depth)
+            expected = oracles.first_covering_failure(m1, m2, eta, xi, depth)
+            if expected is None:
+                assert result.holds
+            else:
+                assert not result.holds
+                assert (result.counterexample, side_of(result)) == expected
+
+    def test_random_maps(self):
+        rng = random.Random(53)
+        for _ in range(30):
+            m1 = random_machine(rng, max_states=3, name="m1")
+            m2 = random_machine(rng, max_states=4, name="m2")
+            if len(m2.space.states) < len(m1.space.states):
+                continue
+            eta = dict(zip(m2.space.states, m1.space.states))
+            eta.update({q: rng.choice(m1.space.states) for q in m2.space.states[len(eta):]})
+            xi = {x: rng.choice(m2.alphabet) for x in m1.alphabet}
+            self.assert_first_failure(m1, m2, eta, xi)
+
+    def test_search_hits(self):
+        rng = random.Random(59)
+        for _ in range(20):
+            m1 = random_machine(rng, max_states=2, name="m1")
+            m2 = random_machine(rng, max_states=4, name="m2")
+            for pair in search_coverings(m1, m2, depth=1)[:3]:
+                self.assert_first_failure(m1, m2, pair.state_map, pair.input_map)
+
+    def test_identities(self):
+        rng = random.Random(61)
+        for _ in range(8):
+            m = random_machine(rng, max_states=4, max_inputs=2)
+            pair = identity_covering(m)
+            self.assert_first_failure(m, m, pair.state_map, pair.input_map)
+
+    def test_coarse_over_fine(self):
+        rng = random.Random(67)
+        failed_words = set()
+        for extra in (0.0, 0.15):
+            for _ in range(20):
+                coarse, fine, (states, letters) = coarse_over_fine(rng, rng.randint(2, 6), ("a", "b"), extra)
+                self.assert_first_failure(coarse, fine, states, letters)
+                first = oracles.first_covering_failure(coarse, fine, states, letters, 6)
+                if first is not None:
+                    failed_words.add(first[0][1])
+        # Only words of length 2 ever fail first: once a word's runs are
+        # contained, the letter conditions keep every extension contained.
+        assert failed_words == {("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")}
+
+    def test_block_steps_equal_block_step(self):
+        rng = random.Random(73)
+        for _ in range(15):
+            m = random_machine(rng, max_states=5, max_inputs=3)
+            steps = morphism._BlockSteps(m)
+            for ids in oracles.all_subsets(range(m.space.n_blocks)):
+                for x in m.alphabet:
+                    r = block_step(m, m.space.definable(ids), x)
+                    assert steps[ids, x] == (r.lower.block_ids, r.upper.block_ids)
+
+    def test_search_lists(self):
+        rng = random.Random(71)
+        pairs = []
+        for _ in range(12):
+            m1 = random_machine(rng, max_states=2, name="m1")
+            pairs.append((m1, random_machine(rng, max_states=4, name="m2")))
+        for _ in range(6):
+            coarse, fine, _maps = coarse_over_fine(rng, rng.randint(2, 4), ("a", "b"))
+            pairs.append((coarse, fine))
+        narrowed = 0
+        for m1, m2 in pairs:
+            found = [[(p.state_map, p.input_map) for p in search_coverings(m1, m2, depth)] for depth in range(4)]
+            assert found == [oracles.brute_coverings(m1, m2, depth) for depth in range(4)]
+            narrowed += len(found[3]) < len(found[1])
+        assert narrowed
+
+
 class TestWordRunBudget:
-    """The covering's word pass stops at 1,000,000 pairs of runs; homomorphisms run no words."""
+    """The covering's word pass is refused above 1,000,000 word runs; homomorphisms run no words."""
 
     def restricted_in_full(self, five_state):
         narrow = restricted_direct(five_state, five_state)
@@ -390,6 +482,36 @@ class TestWordRunBudget:
         assert err.value.size > 1_000_000
         assert "word runs" in str(err.value)
 
+    def test_deep_covering_steps_each_configuration_once(self, five_state, monkeypatch):
+        # Word by word, depth 12 would be 25 * (2**2 + ... + 2**12) =
+        # 204,700 runs: under the budget, so the check must run. The walk
+        # steps each distinct configuration by each letter instead, and
+        # runs no word from scratch.
+        narrow, wide, pair = self.restricted_in_full(five_state)
+        assert len(wide.space.states) * sum(2**n for n in range(2, 13)) == 204_700
+        computed, checked = [], []
+        missing, escape = morphism._BlockSteps.__missing__, morphism._escape
+
+        def counted_step(steps, key):
+            computed.append(key)
+            return missing(steps, key)
+
+        def counted_check(*args):
+            checked.append(args)
+            return escape(*args)
+
+        def no_word_runs(*args):
+            raise AssertionError("a covering check ran a word from scratch")
+
+        monkeypatch.setattr(morphism._BlockSteps, "__missing__", counted_step)
+        monkeypatch.setattr(morphism, "_escape", counted_check)
+        monkeypatch.setattr(machine, "_run", no_word_runs)
+        assert check_covering(narrow, wide, pair, depth=12)
+        assert 0 < len(computed) < 1_000
+        assert len(set(computed)) == len(computed)
+        # 25 states * 2 letters, then each distinct configuration once.
+        assert 50 < len(checked) < 100
+
     def test_homomorphism_check_runs_no_words(self, five_state, monkeypatch):
         wide = full_direct(five_state, five_state)
         identity = identity_morphism(wide)
@@ -397,7 +519,8 @@ class TestWordRunBudget:
         def no_word_runs(*args):
             raise AssertionError("a homomorphism check ran a word")
 
-        monkeypatch.setattr(morphism, "word_step", no_word_runs)
+        monkeypatch.setattr(morphism, "_BlockSteps", no_word_runs)
+        monkeypatch.setattr(machine, "_run", no_word_runs)
         assert check_homomorphism(wide, wide, identity)
         monkeypatch.undo()
         assert oracles.brute_homomorphic(wide, wide, identity.state_map, identity.input_map, 3)

@@ -281,6 +281,13 @@ class TestFunctionSymbol:
         assert FunctionSymbol(DOMAIN, ("a", "b")) == FunctionSymbol(DOMAIN, ("a", "b"))
         assert FunctionSymbol(DOMAIN, ("a", "b")) != FunctionSymbol(DOMAIN, ("b", "a"))
 
+    def test_equal_symbols_hash_equal(self):
+        first, second = FunctionSymbol(DOMAIN, ("a", "b")), FunctionSymbol(tuple(DOMAIN), ("a", "b"))
+        assert first is not second and hash(first) == hash(second)
+        assert hash(first) == hash((first.domain, first.outputs))
+        assert len({first, second, FunctionSymbol(DOMAIN, ("b", "a"))}) == 2
+        assert {first: 1}[second] == 1
+
     def test_call_outside_domain(self):
         f = FunctionSymbol(DOMAIN, ("a", "b"))
         assert f("s") == "a"
