@@ -13,6 +13,9 @@ Words are plain tuples of symbols; the empty tuple is the empty word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
+from operator import eq
 from typing import Mapping, Sequence
 
 from .core import ApproximationSpace, DefinableSet, RoughSet, is_realizable, value_name
@@ -85,26 +88,40 @@ class Machine:
         except KeyError:
             raise UnknownSymbol(f"unknown input symbol {value_name(symbol)}") from None
 
-    def canonical_key(self):
+    def each_entry(self, f):
+        """f(entry) for each (state, symbol) in table order, the entry None where missing.
+
+        f runs once per distinct entry object, told apart by identity while the table holds it.
+        """
+        values, get = {}, self.table.get
+        for q in self.space.states:
+            for x in self.alphabet:
+                r = get((q, x))
+                key = id(r)
+                if key not in values:
+                    values[key] = f(r)
+                yield values[key]
+
+    def printed_names(self) -> tuple:
+        """The printed state names, blocks as tuples of those names, and symbol names."""
         names = self.space.names
-        symbols = tuple(map(value_name, self.alphabet))
-        entries = []
-        for q, q_name in zip(self.space.states, names):
-            for x, x_name in zip(self.alphabet, symbols):
-                r = self.table.get((q, x))
-                cell = None if r is None else (r.lower.member_names(), r.upper.member_names())
-                entries.append((q_name, x_name, cell))
-        return (
-            names,
-            tuple(tuple(names[self.space.position(q)] for q in cell) for cell in self.space.blocks),
-            symbols,
-            tuple(entries),
-        )
+        blocks = tuple(tuple(names[self.space._position[q]] for q in cell) for cell in self.space.blocks)
+        return names, blocks, tuple(map(value_name, self.alphabet))
+
+    def _cells(self):
+        """The member names of each entry's lower and upper in table order, None where missing."""
+        return self.each_entry(lambda r: None if r is None else (r.lower.member_names(), r.upper.member_names()))
+
+    def canonical_key(self):
+        names, blocks, symbols = self.printed_names()
+        cells = zip(product(names, symbols), self._cells())
+        return names, blocks, symbols, tuple((q, x, cell) for (q, x), cell in cells)
 
     def __eq__(self, other):
+        """Equal printed names, then entries compared in table order up to the first difference."""
         if not isinstance(other, Machine):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        return self.printed_names() == other.printed_names() and all(map(eq, self._cells(), other._cells()))
 
     def __repr__(self):
         return (
@@ -134,24 +151,26 @@ def validate_machine(machine: Machine, strict: bool = False) -> list[Violation]:
     for q, x in machine.table:
         if q not in positions or x not in symbols:
             out.append(Violation(q, x, "entry outside the state/alphabet grid"))
-    for q in machine.space.states:
-        for x in machine.alphabet:
-            r = machine.table.get((q, x))
-            if r is None:
-                out.append(Violation(q, x, "missing table entry"))
-                continue
-            if not isinstance(r, RoughSet):
-                out.append(Violation(q, x, "entry is not a rough set"))
-                continue
-            if r.lower.space != machine.space or r.upper.space != machine.space:
-                out.append(Violation(q, x, "entry lives in a different space"))
-                continue
-            if not r.lower <= r.upper:
-                out.append(Violation(q, x, "lower approximation not contained in upper"))
-                continue
-            if strict and not is_realizable(machine.space, r.lower, r.upper):
-                out.append(Violation(q, x, "entry is not the approximation of any subset"))
+    grid = product(machine.space.states, machine.alphabet)
+    for (q, x), reason in zip(grid, machine.each_entry(partial(_entry_problem, machine.space, strict))):
+        if reason:
+            out.append(Violation(q, x, reason))
     return out
+
+
+def _entry_problem(space: ApproximationSpace, strict: bool, r) -> str | None:
+    """Why the table entry `r` is not a well-formed entry over `space`, or None."""
+    if r is None:
+        return "missing table entry"
+    if not isinstance(r, RoughSet):
+        return "entry is not a rough set"
+    if not (r.lower.space is space is r.upper.space or r.lower.space == space == r.upper.space):
+        return "entry lives in a different space"
+    if not r.lower.block_ids <= r.upper.block_ids:
+        return "lower approximation not contained in upper"
+    if strict and not is_realizable(space, r.lower, r.upper):
+        return "entry is not the approximation of any subset"
+    return None
 
 
 def make_machine(space: ApproximationSpace, alphabet: Sequence, table: Mapping, name: str = "m") -> Machine:

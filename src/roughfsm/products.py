@@ -13,15 +13,17 @@ and in which entry of each factor a product letter selects:
                      choosing the first factor's input from (q2, x2)
 
 Entry values multiply componentwise: lower with lower, upper with upper.
+Letters that select equal factor-entry pairs share one immutable entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product as iter_product
 from typing import Mapping, Sequence
 
-from .core import ApproximationSpace, DefinableSet, RoughSet, product_partition, value_name
+from .core import DefinableSet, RoughSet, product_partition, value_name
 from .errors import (
     AlphabetMismatch,
     BridgeTotalityError,
@@ -130,46 +132,41 @@ def all_function_symbols(values: Sequence, domain: Sequence) -> list[FunctionSym
     return [FunctionSymbol(domain, outputs) for outputs in iter_product(values, repeat=len(domain))]
 
 
-def _pair_set(space: ApproximationSpace, n2: int, d1: DefinableSet, d2: DefinableSet) -> DefinableSet:
-    # Block (i, j) of the product space sits at index i * n2 + j.
-    return DefinableSet(space, frozenset(i * n2 + j for i in d1.block_ids for j in d2.block_ids))
+def _build(m1: Machine, m2: Machine, alphabet, inputs: Mapping, name: str) -> Machine:
+    """The product over `alphabet` whose letter a feeds the factors inputs[q2, a] = (x1, x2) at q2.
 
-
-def _build(m1: Machine, m2: Machine, alphabet, resolve, name: str) -> Machine:
+    Equal (q1, q2, x1, x2) share one entry, and equal pairs of factor block sets one side.
+    """
     space = product_partition(m1.space, m2.space)
     n2 = m2.space.n_blocks
-    table = {}
-    for q1 in m1.space.states:
-        for q2 in m2.space.states:
-            for a in alphabet:
-                r1, r2 = resolve(q1, q2, a)
-                table[((q1, q2), a)] = RoughSet(
-                    _pair_set(space, n2, r1.lower, r2.lower),
-                    _pair_set(space, n2, r1.upper, r2.upper),
-                )
+
+    @cache
+    def side(ids1: frozenset, ids2: frozenset) -> DefinableSet:  # block (i, j) sits at i * n2 + j
+        return DefinableSet(space, frozenset(i * n2 + j for i in ids1 for j in ids2))
+
+    @cache
+    def entry(q1, q2, x1, x2) -> RoughSet:
+        r1, r2 = m1.table[q1, x1], m2.table[q2, x2]
+        return RoughSet(side(r1.lower.block_ids, r2.lower.block_ids), side(r1.upper.block_ids, r2.upper.block_ids))
+
+    # The product space's states are the pairs (q1, q2); keying by them shares one tuple per state.
+    table = {(q, a): entry(*q, *inputs[q[1], a]) for q in space.states for a in alphabet}
     return make_machine(space, tuple(alphabet), table, name)
 
 
 def full_direct(m1: Machine, m2: Machine) -> Machine:
     """Both factors run side by side; letters are input pairs (x1, x2)."""
     alphabet = tuple((x1, x2) for x1 in m1.alphabet for x2 in m2.alphabet)
-
-    def resolve(q1, q2, a):
-        x1, x2 = a
-        return m1.table[(q1, x1)], m2.table[(q2, x2)]
-
-    return _build(m1, m2, alphabet, resolve, f"full({m1.name},{m2.name})")
+    inputs = {(q2, a): a for q2 in m2.space.states for a in alphabet}
+    return _build(m1, m2, alphabet, inputs, f"full({m1.name},{m2.name})")
 
 
 def restricted_direct(m1: Machine, m2: Machine) -> Machine:
     """Both factors read the same letter; the alphabets must agree."""
     if m1.alphabet != m2.alphabet:
         raise AlphabetMismatch("restricted product needs one shared alphabet")
-
-    def resolve(q1, q2, a):
-        return m1.table[(q1, a)], m2.table[(q2, a)]
-
-    return _build(m1, m2, m1.alphabet, resolve, f"restricted({m1.name},{m2.name})")
+    inputs = {(q2, a): (a, a) for q2 in m2.space.states for a in m1.alphabet}
+    return _build(m1, m2, m1.alphabet, inputs, f"restricted({m1.name},{m2.name})")
 
 
 def general_direct(m1: Machine, m2: Machine, bridge: InputBridge) -> Machine:
@@ -182,12 +179,8 @@ def general_direct(m1: Machine, m2: Machine, bridge: InputBridge) -> Machine:
             raise UnknownSymbol(f"bridge sends {value_name(u)} to unknown first input {value_name(x1)}")
         if x2 not in m2.alphabet:
             raise UnknownSymbol(f"bridge sends {value_name(u)} to unknown second input {value_name(x2)}")
-
-    def resolve(q1, q2, a):
-        x1, x2 = bridge.pair_for(a)
-        return m1.table[(q1, x1)], m2.table[(q2, x2)]
-
-    return _build(m1, m2, tuple(bridge.carrier), resolve, f"general({m1.name},{m2.name})")
+    inputs = {(q2, u): bridge.pair_for(u) for q2 in m2.space.states for u in bridge.carrier}
+    return _build(m1, m2, tuple(bridge.carrier), inputs, f"general({m1.name},{m2.name})")
 
 
 def wreath(m1: Machine, m2: Machine, budget: int = WREATH_BUDGET) -> Machine:
@@ -204,16 +197,13 @@ def wreath(m1: Machine, m2: Machine, budget: int = WREATH_BUDGET) -> Machine:
         for f in all_function_symbols(m1.alphabet, m2.space.states)
         for x2 in m2.alphabet
     )
-
-    def resolve(q1, q2, a):
-        f, x2 = a
-        return m1.table[(q1, f(q2))], m2.table[(q2, x2)]
-
-    return _build(m1, m2, alphabet, resolve, f"wreath({m1.name},{m2.name})")
+    inputs = {(q2, (f, x2)): (f(q2), x2) for q2 in m2.space.states for f, x2 in alphabet}
+    return _build(m1, m2, alphabet, inputs, f"wreath({m1.name},{m2.name})")
 
 
 def cascade(m1: Machine, m2: Machine, wiring: CascadeWiring) -> Machine:
     """m2 reads the letter and the wiring turns (q2, letter) into m1's input."""
+    inputs = {}
     for q2 in m2.space.states:
         for x2 in m2.alphabet:
             x1 = wiring.feed(q2, x2)
@@ -222,11 +212,8 @@ def cascade(m1: Machine, m2: Machine, wiring: CascadeWiring) -> Machine:
                     f"wiring feeds unknown input {value_name(x1)} at "
                     f"({value_name(q2)}, {value_name(x2)})"
                 )
-
-    def resolve(q1, q2, a):
-        return m1.table[(q1, wiring.feed(q2, a))], m2.table[(q2, a)]
-
-    return _build(m1, m2, m2.alphabet, resolve, f"cascade({m1.name},{m2.name})")
+            inputs[q2, x2] = (x1, x2)
+    return _build(m1, m2, m2.alphabet, inputs, f"cascade({m1.name},{m2.name})")
 
 
 def diagonal_bridge(alphabet: Sequence) -> InputBridge:

@@ -24,13 +24,15 @@ NonDefinableEntry. The empty set is written { } in files and rendered
 as the symbol phi in tables.
 
 The readers split lines on whitespace and find a token's column only
-when raising ParseError. Parsing looks each member name up once;
-writing takes state names from the space's cached `names`.
+when raising ParseError. The parser reads and approximates each distinct
+member text once, so equal entries share one rough set, and the writer
+renders each distinct entry object once.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import product
 
 from .errors import (
     DuplicateState,
@@ -89,11 +91,15 @@ def _names(tokens: list[str], start: int, stop: int, line: str, lineno: int, wha
     return names
 
 
-def _parse_trans_line(tokens, line, lineno):
+def _parse_trans_line(tokens, line, lineno, read: dict):
+    """(state, symbol, tail) of a transition line; `read` holds the (lower, upper) names of each tail read."""
     if len(tokens) < 4:
         raise ParseError("incomplete transition line", lineno, _column(line, 0))
     (state,) = _names(tokens, 1, 2, line, lineno, "state")
     (symbol,) = _names(tokens, 2, 3, line, lineno, "input")
+    tail = tuple(tokens[3:])
+    if tail in read:
+        return state, symbol, tail
     end = len(tokens)
 
     def read_set(i, keyword):
@@ -114,7 +120,8 @@ def _parse_trans_line(tokens, line, lineno):
     upper, i = read_set(i, "upper")
     if i < end:
         raise ParseError(f"unexpected token {tokens[i]!r}", lineno, _column(line, i))
-    return state, symbol, lower, upper
+    read[tail] = (lower, upper)
+    return state, symbol, tail
 
 
 def parse_machine(text: str) -> Machine:
@@ -126,8 +133,8 @@ def parse_machine(text: str) -> Machine:
     states = None
     blocks: list[list[str]] = []
     inputs = None
-    entries = []
-    seen_keys = {}
+    entries = {}  # (state, symbol) -> (line number, tail), in document order
+    read = {}
 
     for lineno, line, tokens in _rows(text):
         keyword = tokens[0]
@@ -157,15 +164,13 @@ def parse_machine(text: str) -> Machine:
                 raise ParseError("inputs line lists no symbols", lineno, _column(line, 0))
             inputs = _names(tokens, 1, len(tokens), line, lineno, "input")
         elif keyword == "trans":
-            state, symbol, lower, upper = _parse_trans_line(tokens, line, lineno)
-            key = (state, symbol)
-            if key in seen_keys:
+            state, symbol, tail = _parse_trans_line(tokens, line, lineno, read)
+            if (state, symbol) in entries:
                 raise SemanticError(
                     f"duplicate transition for ({state}, {symbol}) on line {lineno}"
-                    f" (first on line {seen_keys[key]})"
+                    f" (first on line {entries[state, symbol][0]})"
                 )
-            seen_keys[key] = lineno
-            entries.append((lineno, state, symbol, lower, upper))
+            entries[state, symbol] = (lineno, tail)
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno, _column(line, 0))
 
@@ -186,25 +191,28 @@ def parse_machine(text: str) -> Machine:
     known = set(states)
     symbols = set(inputs)
     table = {}
-    for lineno, state, symbol, lower, upper in entries:
+    shared = {}  # tail -> its rough set, approximated on its first line
+    for (state, symbol), (lineno, tail) in entries.items():
         if state not in known:
             raise SemanticError(f"transition from unknown state {state} on line {lineno}")
         if symbol not in symbols:
             raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
-        sets = []
-        for side, members in (("lower", lower), ("upper", upper)):
-            try:
-                rough = approximate(space, members)
-            except UnknownState:
-                bad = next(q for q in members if q not in known)
-                raise SemanticError(f"unknown state {bad} in {side} set on line {lineno}") from None
-            if not rough.is_exact():
-                raise NonDefinableEntry(
-                    f"{side} set of ({state}, {symbol}) on line {lineno} "
-                    "is not a union of blocks"
-                )
-            sets.append(rough.upper)
-        table[(state, symbol)] = RoughSet(sets[0], sets[1])
+        if tail not in shared:
+            sets = []
+            for side, members in zip(("lower", "upper"), read[tail]):
+                try:
+                    rough = approximate(space, members)
+                except UnknownState:
+                    bad = next(q for q in members if q not in known)
+                    raise SemanticError(f"unknown state {bad} in {side} set on line {lineno}") from None
+                if not rough.is_exact():
+                    raise NonDefinableEntry(
+                        f"{side} set of ({state}, {symbol}) on line {lineno} "
+                        "is not a union of blocks"
+                    )
+                sets.append(rough.upper)
+            shared[tail] = RoughSet(*sets)
+        table[(state, symbol)] = shared[tail]
 
     return make_machine(space, tuple(inputs), table, name)
 
@@ -218,23 +226,14 @@ def serialize_machine(machine: Machine) -> str:
     NameCollision when two states or two symbols print to the same name,
     since the document could not be parsed back.
     """
-    space = machine.space
-    names = space.names
-    symbols = [value_name(x) for x in machine.alphabet]
-    _require_distinct("states", space.states, names)
+    names, blocks, symbols = machine.printed_names()
+    _require_distinct("states", machine.space.states, names)
     _require_distinct("input symbols", machine.alphabet, symbols)
     lines = [f"machine {machine.name}", "states " + " ".join(names)]
-    for cell in space.blocks:
-        lines.append("block " + " ".join(names[space.position(q)] for q in cell))
+    lines += ("block " + " ".join(cell) for cell in blocks)
     lines.append("inputs " + " ".join(symbols))
-    for q, q_name in zip(space.states, names):
-        for x, x_name in zip(machine.alphabet, symbols):
-            r = machine.table[(q, x)]
-            lines.append(
-                f"trans {q_name} {x_name}"
-                f" lower {{ {_member_list(r.lower)}}}"
-                f" upper {{ {_member_list(r.upper)}}}"
-            )
+    for (q_name, x_name), tail in zip(product(names, symbols), machine.each_entry(_sets_text)):
+        lines.append(f"trans {q_name} {x_name} {tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -245,11 +244,11 @@ def _require_distinct(what: str, values, names):
             raise NameCollision(f"{what} {first[name]!r} and {value!r} both print as {name}")
 
 
-def _member_list(definable: DefinableSet) -> str:
-    members = definable.member_names()
-    if not members:
-        return ""
-    return " ".join(members) + " "
+def _sets_text(r: RoughSet) -> str:
+    """The `lower { ... } upper { ... }` part of an entry's trans line."""
+    lower = " ".join(r.lower.member_names() + ("",))  # each name followed by a space
+    upper = " ".join(r.upper.member_names() + ("",))
+    return f"lower {{ {lower}}} upper {{ {upper}}}"
 
 
 def format_definable(definable: DefinableSet) -> str:
@@ -319,14 +318,9 @@ def _table_rows(machine: Machine):
     least two blocks without being the whole state set; singleton rows
     restate the table and the full set tells nothing.
     """
-    seen = {}
-    for q in machine.space.states:
-        for x in machine.alphabet:
-            r = machine.table[(q, x)]
-            for d in (r.lower, r.upper):
-                if 1 < len(d.block_ids) < machine.space.n_blocks:
-                    seen[tuple(sorted(d.block_ids))] = d
-    return [seen[key] for key in sorted(seen)]
+    n = machine.space.n_blocks
+    rows = {d.block_ids: d for r in machine.table.values() for d in (r.lower, r.upper) if 1 < len(d.block_ids) < n}
+    return [rows[ids] for ids in sorted(rows, key=sorted)]
 
 
 def _layout(header: list[str], rows: list[list[str]]) -> str:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from roughfsm import (
+    DefinableSet,
     Machine,
     RoughSet,
     approximate,
@@ -334,6 +335,21 @@ class TestValidateMachine:
             ("q1", "a", "missing table entry"),
         ]
 
+    def test_shared_bad_entry_reported_at_each_position_in_order(self, five_state):
+        # One entry object at three positions is reported at each, in table order.
+        bad = RoughSet(five_state.space.full_set(), five_state.space.empty_set())
+        table = dict(five_state.table)
+        for key in [("q4", "b"), ("q1", "a"), ("q3", "a")]:
+            table[key] = bad
+        m = Machine(five_state.space, five_state.alphabet, table)
+        for strict in (False, True):
+            found = [(v.state, v.symbol, v.reason) for v in validate_machine(m, strict)]
+            shared = [v for v in found if v[2] == "lower approximation not contained in upper"]
+            assert shared == [
+                (q, x, "lower approximation not contained in upper")
+                for q, x in [("q1", "a"), ("q3", "a"), ("q4", "b")]
+            ]
+
     def test_non_rough_entry_and_foreign_space_reported(self):
         space = make_partition(["q1"], [["q1"]])
         other = make_partition(["q1"], [["q1"]])
@@ -383,6 +399,27 @@ class TestMachineValueSemantics:
         table = dict(five_state.table)
         table[("q1", "a")], table[("q1", "b")] = table[("q1", "b")], table[("q1", "a")]
         assert Machine(five_state.space, five_state.alphabet, table) != five_state
+
+    def test_inequality_stops_at_the_first_differing_entry(self, monkeypatch):
+        rng = random.Random(29)
+        m = random_machine(rng, n_states=200, alphabet="abcd", min_block_size=2)
+        first = (m.space.states[0], m.alphabet[0])
+        table = dict(m.table)
+        table[first] = next(r for r in m.table.values() if r != m.table[first])
+        changed = Machine(m.space, m.alphabet, table)
+        calls = 0
+        real = DefinableSet.member_names
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return real(self)
+
+        monkeypatch.setattr(DefinableSet, "member_names", counting)
+        assert changed != m
+        # Both sides render their first entry, lower and upper; the full
+        # keys would take 2 * 800 entries * 2 parts = 3,200 calls.
+        assert calls <= 4
 
     def test_entry_lookup_checks_both_coordinates(self, five_state):
         assert five_state.entry("q2", "a").lower.states_set() == frozenset()

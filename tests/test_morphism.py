@@ -395,6 +395,9 @@ class TestAgainstWordByWord:
             else:
                 assert not result.holds
                 assert (result.counterexample, side_of(result)) == expected
+                (_, word), side = expected
+                if depth == 5 and side is not None and word not in m1.alphabet:
+                    assert len(word) == 2  # see test_coarse_over_fine
 
     def test_random_maps(self):
         rng = random.Random(53)

@@ -187,6 +187,17 @@ class TestWreath:
                             (q1, q2), (x1, x2)
                         )
 
+    def test_entries_are_shared_per_factor_entry_pair(self):
+        # A product entry depends on (q1, x1, q2, x2) alone, and the wreath
+        # meets each of those for |X1|^(|Q2|-1) letters.
+        rng = random.Random(31)
+        m1 = random_machine(rng, n_states=3, alphabet=("a", "b"), name="w1")
+        m2 = random_machine(rng, n_states=3, alphabet=("c", "d", "e"), name="w2")
+        wr = wreath(m1, m2)
+        bound = len(m1.space.states) * len(m1.alphabet) * len(m2.space.states) * len(m2.alphabet)
+        assert len(wr.table) == 9 * 24 > bound == 54
+        assert len({id(r) for r in wr.table.values()}) <= bound
+
     def test_function_symbols_enumerate_lexicographically(self):
         symbols = all_function_symbols(("a", "b"), ("s", "t"))
         assert [s.outputs for s in symbols] == [

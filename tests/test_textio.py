@@ -4,9 +4,12 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughfsm import (
     CascadeWiring,
+    InputBridge,
     core,
     cascade,
     full_direct,
@@ -294,6 +297,61 @@ class TestRoundTrip:
         m = machine_module.make_machine(space, alphabet, table, "symbols")
         with pytest.raises(NameCollision, match="input symbols"):
             serialize_machine(m)
+
+    def test_equal_entries_parse_to_one_shared_rough_set(self):
+        rng = random.Random(19)
+        m1 = random_machine(rng, n_states=3, alphabet=("a", "b"), name="m1")
+        m2 = random_machine(rng, n_states=3, alphabet=("a", "b"), name="m2")
+        text = serialize_machine(wreath(m1, m2))
+        again = parse_machine(text)
+        member_texts = {line.split(None, 3)[3] for line in text.splitlines() if line.startswith("trans ")}
+        assert len(again.table) > len(member_texts)
+        assert len({id(r) for r in again.table.values()}) == len(member_texts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_products_of_adversarially_named_machines_round_trip(self, data):
+        # Names holding commas and parentheses make product names collide;
+        # a product either refuses to be written or survives the round trip.
+        m1 = data.draw(adversarially_named_machine("m1"))
+        m2 = data.draw(adversarially_named_machine("m2"))
+
+        def pick(values):
+            return data.draw(st.sampled_from(values))
+
+        bridge = InputBridge(("u1", "u2"), {u: (pick(m1.alphabet), pick(m2.alphabet)) for u in ("u1", "u2")})
+        wiring = CascadeWiring({(q2, x2): pick(m1.alphabet) for q2 in m2.space.states for x2 in m2.alphabet})
+        built = [
+            full_direct(m1, m2),
+            restricted_direct(m1, m1),
+            general_direct(m1, m2, bridge),
+            wreath(m1, m2),
+            cascade(m1, m2, wiring),
+        ]
+        for product in built:
+            try:
+                text = serialize_machine(product)
+            except NameCollision:
+                continue
+            again = parse_machine(text)
+            assert again == product
+            assert serialize_machine(again) == text
+
+
+# Joined by commas inside parentheses, these print alike in many ways: ("a", "a,a") and ("a,a", "a").
+NAMES = st.sampled_from(["a", "a,", ",a", "a,a", "(a", "a)"])
+
+
+@st.composite
+def adversarially_named_machine(draw, name):
+    """A machine of at most three states and three symbols, named with commas and parentheses."""
+    states = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    symbols = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    cells = [states] if draw(st.booleans()) else [[q] for q in states]
+    space = core.make_partition(states, cells)
+    subsets = st.lists(st.sampled_from(states), unique=True)
+    table = {(q, x): core.approximate(space, draw(subsets)) for q in states for x in symbols}
+    return machine_module.make_machine(space, symbols, table, name)
 
 
 def colliding_factors():
