@@ -75,7 +75,8 @@ def cmd_validate(args) -> int:
         else:
             print(f"violation: {e}")
         return 1
-    problems = validate_machine(machine, strict=args.strict)
+    # parse_machine has already run the non-strict checks.
+    problems = validate_machine(machine, strict=True) if args.strict else []
     if problems:
         for v in problems:
             print(f"violation: {v}")
@@ -227,7 +228,8 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("first")
     q.add_argument("second")
     q.add_argument("--map", required=True, help="map file: state lines read FROM the covering machine")
-    q.add_argument("--depth", type=int, default=argparse.SUPPRESS, help="also check words up to this length")
+    depth_help = "below 2 checks letters only; 2 or more also checks every word"
+    q.add_argument("--depth", type=int, default=argparse.SUPPRESS, help=depth_help)
     q.set_defaults(func=cmd_check, check=check_covering, pair=CoveringPair)
 
     q = sub.add_parser("search-cover", help="enumerate all covering map pairs")

@@ -19,18 +19,18 @@ steps to the union of the entries of the states p of the current set,
 each f(p) lies in m2's current set, and by (ii) f of p's entry lies in
 the entry of f(p) on g(x), a part of m2's next set.
 
-A covering has no such argument, and there letters do not imply words:
-the covered side's run unions over the whole block of eta(q2), which no
-entry of q2 controls (`demos/04_coverings.py`). Its condition (ii) is
-checked up to a depth: single letters compare the table entries of the
-paired states, and words of length 2..depth compare word runs from the
-states' blocks, with xi applied letter by letter. Past the start blocks
-such a check depends only on the configuration of the two runs, their
-lower and upper block sets, so the word level walks the distinct
-configurations length by length, checks each one once and reports the
-failure a word-by-word enumeration would meet first. The budget still
-counts that enumeration, |Q2| * (|X1|^2 + ... + |X1|^depth) word runs:
-above 1,000,000 it raises BudgetExceeded before the walk, which the
+A covering is not: the covered side's run unions over the whole block
+of eta(q2), which no entry of q2 controls (`demos/04_coverings.py`),
+so its condition (ii) is also checked on two-letter words, run from the
+paired states' blocks with xi applied letter by letter. These decide
+every word: if m1's run on w from [eta(q)] lies inside the eta-image of
+m2's run on xi(w) from [q] (both tracks), each state p of m1's current
+set is eta(q') for some q' of m2's current set, and the letter
+condition puts p's entry on x inside the eta-image of q''s entry on
+xi(x), a part of m2's next set. So every extension of a contained word
+stays contained, and a failing word of length 3 or more has a failing
+prefix of length 2. The two-letter pass costs |Q2| * |X1|^2 word runs;
+above 1,000,000 it raises BudgetExceeded before it starts, which the
 command line reports with exit code 2.
 
 Both checks share one walker and one containment test: each block
@@ -137,14 +137,7 @@ def _require_depth(depth: int):
 
 def _image_masks(space: ApproximationSpace, mapping: Mapping, target: ApproximationSpace) -> list[int]:
     """Per block of `space`, the OR of target.state_bits over its members' images."""
-    bits = target.state_bits
-    masks = []
-    for cell in space.blocks:
-        mask = 0
-        for q in cell:
-            mask |= bits[mapping[q]]
-        masks.append(mask)
-    return masks
+    return [_mask(target.state_bits, map(mapping.__getitem__, cell)) for cell in space.blocks]
 
 
 def _blocks_respected(space, mapping: Mapping, target, image: list[int]) -> CheckResult:
@@ -159,7 +152,7 @@ def _blocks_respected(space, mapping: Mapping, target, image: list[int]) -> Chec
 
 
 def _mask(masks, ids) -> int:
-    """The OR of masks[i] over the block ids `ids`."""
+    """The OR of masks[i] over i in `ids`."""
     out = 0
     for i in ids:
         out |= masks[i]
@@ -213,8 +206,8 @@ def _walk(m1: Machine, m2: Machine, pairs, input_map, masks, reason: str, depth:
 
     Each (q, q1, q2) pairs q1 of m1 with q2 of m2; a failure names q and
     the letter or word, and formats `reason` with the failing side.
-    Letters compare table entries, state major, then `_words` checks
-    the words of length 2..depth.
+    Letters compare table entries, state major, then at depth 2 or more
+    `_words` checks the two-letter words.
     """
     for q, q1, q2 in pairs:
         for x in m1.alphabet:
@@ -226,35 +219,24 @@ def _walk(m1: Machine, m2: Machine, pairs, input_map, masks, reason: str, depth:
                 return CheckResult(False, reason.format(side=side), (q, x))
     if depth < 2:
         return CheckResult(True)
-    return _words(_BlockSteps(m1), _BlockSteps(m2), pairs, input_map, masks, reason, depth)
+    return _words(_BlockSteps(m1), _BlockSteps(m2), pairs, input_map, masks, reason)
 
 
-def _words(steps1, steps2, pairs, input_map, masks, reason: str, depth: int) -> CheckResult:
-    """Check the runs of every word of length 2..depth (at least 2) along `pairs`.
+def _words(steps1, steps2, pairs, input_map, masks, reason: str) -> CheckResult:
+    """Check the runs of every two-letter word along `pairs`.
 
-    The budget counts |pairs| * (|X1|^2 + ... + |X1|^depth) word runs,
-    one per word and pair as if each were run from scratch, and raises
-    BudgetExceeded above _BUDGET before anything runs; its size stops
-    at the first length past the budget.
-
-    The walk itself goes level by level over configurations: the lower
-    and upper block ids of both runs. It starts from the distinct pairs
-    of start blocks, and steps a configuration by a letter through the
-    memoized `steps1` and `steps2` of m1 and m2. Whether a run fails
-    depends on its configuration alone, so each distinct configuration
-    is checked once and never stepped again. Each level runs in (word in
-    alphabet order, state order), the order of the word-by-word
-    enumeration, and every copy of a configuration after the first has
-    descendants that come after the first copy's, so the first failure
-    found is the one that enumeration meets first.
+    Raises BudgetExceeded above _BUDGET word runs, |pairs| * |X1|^2,
+    before anything runs. A run's configuration, the lower and upper
+    block ids of both runs, steps from the distinct start blocks by a
+    letter through the memoized `steps1` and `steps2`, and each distinct
+    configuration is checked once. Runs go in (word in alphabet order,
+    state order), so the first failure is the one a word-by-word
+    enumeration meets first.
     """
     alphabet = steps1.machine.alphabet
-    size, runs = 0, len(pairs)
-    for _ in range(2, depth + 1):
-        runs *= len(alphabet)
-        size += runs
-        if size > _BUDGET:
-            raise BudgetExceeded(size, _BUDGET, what="word runs")
+    size = len(pairs) * len(alphabet) ** 2
+    if size > _BUDGET:
+        raise BudgetExceeded(size, _BUDGET, what="word runs")
 
     def step(config, x):  # the lower track steps to lower parts, the upper to upper ones
         low1, up1, low2, up2 = config
@@ -266,26 +248,16 @@ def _words(steps1, steps2, pairs, input_map, masks, reason: str, depth: int) -> 
     for q, q1, q2 in pairs:
         b1, b2 = frozenset((id1[q1],)), frozenset((id2[q2],))
         starts.setdefault((b1, b1, b2, b2), q)
-    # Length 2 comes straight from the starts, one run at a time, so an
-    # early failure costs no more steps than the runs before it.
-    level = (
-        ((x, y), q, step(step(start, x), y))
-        for x in alphabet for y in alphabet for start, q in starts.items()
-    )
     checked = set()
-    for _ in range(2, depth + 1):
-        kept = {}
-        for word, q, config in level:
-            if config not in checked:
-                checked.add(config)
-                side = _escape(*config, *masks)
-                if side:
-                    return CheckResult(False, reason.format(side=side), (q, word))
-                kept.setdefault(word, []).append((q, config))
-        level = (
-            (word + (x,), q, step(config, x))
-            for word, group in kept.items() for x in alphabet for q, config in group
-        )
+    for x in alphabet:
+        for y in alphabet:
+            for start, q in starts.items():
+                config = step(step(start, x), y)
+                if config not in checked:
+                    checked.add(config)
+                    side = _escape(*config, *masks)
+                    if side:
+                        return CheckResult(False, reason.format(side=side), (q, (x, y)))
     return CheckResult(True)
 
 
@@ -331,11 +303,12 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
 
     eta must be total on m2's states and onto m1's (NotOnto otherwise);
     xi must be total on m1's alphabet into m2's; depth must not be
-    negative (BadDepth). Single symbols compare table entries, words of
-    length 2..depth compare word runs, with xi applied symbol by symbol
-    (see the module docstring). The empty word is deliberately out of
-    scope; it would assert a block-surjectivity property that coverings
-    do not promise.
+    negative (BadDepth). Single symbols compare table entries; at depth
+    2 or more two-letter words compare word runs, with xi applied symbol
+    by symbol, which decides every word (see the module docstring), so
+    a larger depth gives the same result. The empty word is deliberately
+    out of scope; it would assert a block-surjectivity property that
+    coverings do not promise.
     """
     _require_depth(depth)
     eta = pair.state_map
@@ -368,7 +341,8 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BU
     onto eta is checked once, each letter gets the list of m2 letters
     whose entries pass, in alphabet order, and the input maps are the
     product of those lists, in the same order as the full enumeration.
-    At depth 2 or more only those candidates go on to the word level.
+    At depth 2 or more only those candidates go on to the two-letter
+    words, which decide every word.
     """
     _require_depth(depth)
     n_states = len(m1.space.states) ** len(m2.space.states)
@@ -410,6 +384,6 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BU
         masks = (masks1, image)
         for g_values in iter_product(*choices):
             xi = dict(zip(m1.alphabet, g_values))
-            if depth < 2 or _words(*steps, pairs, xi, masks, _COVERED, depth):
+            if depth < 2 or _words(*steps, pairs, xi, masks, _COVERED):
                 found.append(CoveringPair(eta, xi))
     return found

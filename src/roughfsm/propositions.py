@@ -18,8 +18,9 @@ The claims, by their short names used throughout:
   lift                 a covering of m1 by m2 survives taking products
                        with a third machine on either side
 
-Coverings are checked on words up to length 2 for restricted-in-full and
-cascade-in-wreath, on letters for wreath-exchange and lift. Wreaths take
+Coverings are checked on every word for restricted-in-full and
+cascade-in-wreath (depth 2, which decides every word; see the morphism
+module docstring), on letters for wreath-exchange and lift. Wreaths take
 wreath()'s default budget, which no seeded trial reaches (1,024 letters at most).
 """
 

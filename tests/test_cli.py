@@ -17,7 +17,7 @@ from roughfsm import (
     serialize_machine,
     wreath,
 )
-from roughfsm import cli
+from roughfsm import cli, machine
 from roughfsm.cli import _parser, main
 from roughfsm.generate import exact_machine
 from roughfsm.products import InputBridge
@@ -90,6 +90,21 @@ class TestValidate:
         assert all(line.startswith("violation: ") for line in lines)
         assert "(q2, b)" in lines[0]
         assert "(q3, b)" in lines[1]
+
+    def test_plain_validate_checks_the_machine_once(self, capsys, m5_path, monkeypatch):
+        calls = []
+        original = machine.validate_machine
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("strict", False))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(machine, "validate_machine", counted)
+        monkeypatch.setattr(cli, "validate_machine", counted)
+        assert run_cli(capsys, "validate", m5_path)[0] == 0
+        assert calls == [False]
+        assert run_cli(capsys, "validate", m5_path, "--strict")[0] == 1
+        assert calls == [False, False, True]
 
     def test_semantic_problems_exit_one(self, capsys, tmp_path):
         path = tmp_path / "gappy.machine"
@@ -322,7 +337,7 @@ class TestCheckCommands:
         assert code == 0
         assert out.strip() == "holds"
 
-    def test_deep_check_exceeds_the_word_run_budget(self, capsys, tmp_path, five_state):
+    def test_deep_check_equals_depth_two(self, capsys, tmp_path, five_state):
         narrow = tmp_path / "narrow.machine"
         wide = tmp_path / "wide.machine"
         narrow.write_text(serialize_machine(restricted_direct(five_state, five_state)))
@@ -334,12 +349,9 @@ class TestCheckCommands:
             + "input a (a,a)\ninput b (b,b)\n"
         )
         argv = ["check-cover", str(narrow), str(wide), "--map", str(pair), "--depth"]
-        code, out, err = run_cli(capsys, *argv, "3")
-        assert (code, out.strip()) == (0, "holds")
-        code, out, err = run_cli(capsys, *argv, "20")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: word runs has ")
+        at_two = run_cli(capsys, *argv, "2")
+        assert at_two == (0, "holds\n", "")
+        assert run_cli(capsys, *argv, "20") == at_two
 
     def test_cover_depth_defaults_to_two(self, capsys, letters_only_paths):
         first, second, pair = letters_only_paths

@@ -387,17 +387,16 @@ class TestAgainstWordByWord:
 
     @staticmethod
     def assert_first_failure(m1, m2, eta, xi, depths=range(7)):
+        # From depth 2 on, the result is the verdict on every word (see
+        # the morphism module docstring), checked here against words up
+        # to length 6.
+        deep = oracles.first_covering_failure(m1, m2, eta, xi, 6)
         for depth in depths:
             result = check_covering(m1, m2, CoveringPair(eta, xi), depth)
-            expected = oracles.first_covering_failure(m1, m2, eta, xi, depth)
-            if expected is None:
-                assert result.holds
-            else:
-                assert not result.holds
-                assert (result.counterexample, side_of(result)) == expected
-                (_, word), side = expected
-                if depth == 5 and side is not None and word not in m1.alphabet:
-                    assert len(word) == 2  # see test_coarse_over_fine
+            found = None if result.holds else (result.counterexample, side_of(result))
+            assert found == oracles.first_covering_failure(m1, m2, eta, xi, depth)
+            if depth >= 2:
+                assert found == deep
 
     def test_random_maps(self):
         rng = random.Random(53)
@@ -468,7 +467,7 @@ class TestAgainstWordByWord:
 
 
 class TestWordRunBudget:
-    """The covering's word pass is refused above 1,000,000 word runs; homomorphisms run no words."""
+    """The covering's two-letter pass is refused above 1,000,000 word runs; homomorphisms run no words."""
 
     def restricted_in_full(self, five_state):
         narrow = restricted_direct(five_state, five_state)
@@ -476,22 +475,35 @@ class TestWordRunBudget:
         pair = CoveringPair({q: q for q in wide.space.states}, {x: (x, x) for x in narrow.alphabet})
         return narrow, wide, pair
 
-    def test_deep_covering_check_exceeds_the_budget(self, five_state):
-        narrow, wide, pair = self.restricted_in_full(five_state)
-        assert check_covering(narrow, wide, pair, depth=4)
-        with pytest.raises(BudgetExceeded) as err:
-            check_covering(narrow, wide, pair, depth=20)
-        assert err.value.budget == 1_000_000
-        assert err.value.size > 1_000_000
-        assert "word runs" in str(err.value)
+    def test_any_depth_from_two_gives_the_depth_two_result(self, five_state):
+        rng = random.Random(67)
+        cases = [self.restricted_in_full(five_state)]
+        for _ in range(10):
+            coarse, fine, maps = coarse_over_fine(rng, rng.randint(2, 6), ("a", "b"))
+            cases.append((coarse, fine, CoveringPair(*maps)))
+        results = []
+        for m1, m2, pair in cases:
+            results.append(check_covering(m1, m2, pair, depth=2))
+            assert check_covering(m1, m2, pair, depth=20) == results[-1]
+            assert check_covering(m1, m2, pair, depth=10**9) == results[-1]
+        assert results[0] and not all(results)
+
+    def test_two_letter_words_count_against_the_budget_at_any_depth(self):
+        # 12 states * 300**2 two-letter words = 1,080,000 runs.
+        m = exact_machine(12, [f"x{i}" for i in range(300)])
+        for depth in (2, 10**9):
+            with pytest.raises(BudgetExceeded) as err:
+                check_covering(m, m, identity_covering(m), depth=depth)
+            assert (err.value.size, err.value.budget) == (1_080_000, 1_000_000)
+            assert "word runs" in str(err.value)
+        assert check_covering(m, m, identity_covering(m), depth=1)
 
     def test_deep_covering_steps_each_configuration_once(self, five_state, monkeypatch):
-        # Word by word, depth 12 would be 25 * (2**2 + ... + 2**12) =
-        # 204,700 runs: under the budget, so the check must run. The walk
-        # steps each distinct configuration by each letter instead, and
-        # runs no word from scratch.
+        # Depth 12 checks the two-letter words, 25 * 2**2 = 100 runs. The
+        # pass steps each distinct configuration by each letter instead,
+        # and runs no word from scratch.
         narrow, wide, pair = self.restricted_in_full(five_state)
-        assert len(wide.space.states) * sum(2**n for n in range(2, 13)) == 204_700
+        assert len(wide.space.states) * len(narrow.alphabet) ** 2 == 100
         computed, checked = [], []
         missing, escape = morphism._BlockSteps.__missing__, morphism._escape
 

@@ -213,7 +213,7 @@ class TestRunClaimTrials:
             assert reports
             assert all(r.claim == claim for r in reports)
 
-    # Words up to this length are checked for each covering claim.
+    # The depth of each covering claim: 2 checks every word, 1 letters only.
     COVER_DEPTHS = {
         "restricted-in-full": 2,
         "cascade-in-wreath": 2,
