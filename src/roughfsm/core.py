@@ -226,15 +226,11 @@ def make_partition(states: Iterable, cells: Iterable[Iterable]) -> Approximation
 
     The cells may come in any order and any internal order; they are
     canonicalized (members in state order, cells by first member). Raises
-    DuplicateState for repeated state names and NonPartition when the
-    cells overlap, miss a state, are empty, or mention an undeclared name.
+    NonPartition when a cell is empty, lists a state twice or mentions an
+    undeclared name; then the space raises DuplicateState for repeated
+    state names and NonPartition when the cells overlap or miss a state.
     """
     states = tuple(states)
-    seen = set()
-    for q in states:
-        if q in seen:
-            raise DuplicateState(f"state {value_name(q)} declared twice")
-        seen.add(q)
     position = {q: i for i, q in enumerate(states)}
 
     normalized = []

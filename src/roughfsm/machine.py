@@ -187,27 +187,35 @@ def make_machine(space: ApproximationSpace, alphabet: Sequence, table: Mapping, 
     return m
 
 
+def _step(machine: Machine, low, up, symbol) -> tuple[frozenset, frozenset]:
+    """The lower and upper block ids that block ids `low` and `up` step to on `symbol`.
+
+    The lower part is the union of the entry lowers over the states of
+    the blocks in `low`, the upper part that of the entry uppers over
+    the states of the blocks in `up`.
+    """
+    blocks, table = machine.space.blocks, machine.table
+    low_acc, up_acc = set(), set()
+    for i in low:
+        for q in blocks[i]:
+            low_acc |= table[(q, symbol)].lower.block_ids
+    for i in up:
+        for q in blocks[i]:
+            up_acc |= table[(q, symbol)].upper.block_ids
+    return frozenset(low_acc), frozenset(up_acc)
+
+
 def _run(machine: Machine, ids: frozenset, word: Sequence) -> RoughSet:
     """Thread the lower and the upper block ids of a run from block ids `ids`.
 
     Every symbol is checked against the alphabet, even when a track is
-    empty. Each step is the union of the entry parts over the states of
-    the current blocks.
+    empty, and steps both tracks through `_step`.
     """
-    space = machine.space
-    table = machine.table
     low = up = ids
     for symbol in word:
         machine.symbol_index(symbol)
-        low_acc, up_acc = set(), set()
-        for i in low:
-            for q in space.blocks[i]:
-                low_acc |= table[(q, symbol)].lower.block_ids
-        for i in up:
-            for q in space.blocks[i]:
-                up_acc |= table[(q, symbol)].upper.block_ids
-        low, up = frozenset(low_acc), frozenset(up_acc)
-    return RoughSet(DefinableSet(space, low), DefinableSet(space, up))
+        low, up = _step(machine, low, up, symbol)
+    return RoughSet(DefinableSet(machine.space, low), DefinableSet(machine.space, up))
 
 
 def block_step(machine: Machine, current: DefinableSet, symbol) -> RoughSet:
@@ -216,9 +224,7 @@ def block_step(machine: Machine, current: DefinableSet, symbol) -> RoughSet:
     The lower (upper) part is the union of the entry lowers (uppers) over
     every state of the set. The empty set steps to (empty, empty).
     """
-    if current.space != machine.space:
-        raise MismatchedSpace("definable set belongs to a different space")
-    return _run(machine, current.block_ids, (symbol,))
+    return block_word_step(machine, current, (symbol,))
 
 
 def word_step(machine: Machine, state, word: Sequence) -> RoughSet:

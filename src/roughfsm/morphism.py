@@ -36,7 +36,9 @@ command line reports with exit code 2.
 Both checks share one walker and one containment test: each block
 becomes an int with one bit per state of the side receiving the state
 map's image, and a part is contained in another when the OR of its
-block masks has no bit outside the OR of the other's.
+block masks has no bit outside the OR of the other's. The two-letter
+pass steps block ids through `machine._step`, the step every run takes,
+memoized per machine for one check or one search.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Mapping
 
 from .core import ApproximationSpace, value_name
 from .errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
-from .machine import Machine
+from .machine import Machine, _step
 
 __all__ = [
     "MorphismPair",
@@ -176,12 +178,12 @@ def _escape(low1, up1, low2, up2, masks1, masks2):
     return None
 
 
-class _BlockSteps(dict):
-    """(block ids, symbol) -> (lower ids, upper ids) of `block_step` from those blocks.
+class _Steps(dict):
+    """(lower ids, upper ids, symbol) -> `machine._step` of `machine` on them.
 
-    Each key is computed once, on first use, as the union of the entry
-    parts over the states of the blocks. It does not call the run kernel,
-    whose RoughSet results cost more than the union on most keys.
+    Each key is computed on first use. A dict subclass costs a fraction
+    of a microsecond to build per check, where `functools.cache` spends
+    microseconds copying wrapper attributes, a few percent of a check.
     """
 
     def __init__(self, machine: Machine):
@@ -189,15 +191,7 @@ class _BlockSteps(dict):
         self.machine = machine
 
     def __missing__(self, key):
-        ids, symbol = key
-        blocks, table = self.machine.space.blocks, self.machine.table
-        low, up = set(), set()
-        for i in ids:
-            for q in blocks[i]:
-                r = table[(q, symbol)]
-                low |= r.lower.block_ids
-                up |= r.upper.block_ids
-        out = self[key] = (frozenset(low), frozenset(up))
+        out = self[key] = _step(self.machine, *key)
         return out
 
 
@@ -219,7 +213,7 @@ def _walk(m1: Machine, m2: Machine, pairs, input_map, masks, reason: str, depth:
                 return CheckResult(False, reason.format(side=side), (q, x))
     if depth < 2:
         return CheckResult(True)
-    return _words(_BlockSteps(m1), _BlockSteps(m2), pairs, input_map, masks, reason)
+    return _words(_Steps(m1), _Steps(m2), pairs, input_map, masks, reason)
 
 
 def _words(steps1, steps2, pairs, input_map, masks, reason: str) -> CheckResult:
@@ -228,20 +222,19 @@ def _words(steps1, steps2, pairs, input_map, masks, reason: str) -> CheckResult:
     Raises BudgetExceeded above _BUDGET word runs, |pairs| * |X1|^2,
     before anything runs. A run's configuration, the lower and upper
     block ids of both runs, steps from the distinct start blocks by a
-    letter through the memoized `steps1` and `steps2`, and each distinct
-    configuration is checked once. Runs go in (word in alphabet order,
-    state order), so the first failure is the one a word-by-word
-    enumeration meets first.
+    letter, each machine's half through its memoized `machine._step` in
+    `steps1` or `steps2`, and each distinct configuration is checked
+    once. Runs go in (word in alphabet order, state order), so the first
+    failure is the one a word-by-word enumeration meets first.
     """
     alphabet = steps1.machine.alphabet
     size = len(pairs) * len(alphabet) ** 2
     if size > _BUDGET:
         raise BudgetExceeded(size, _BUDGET, what="word runs")
 
-    def step(config, x):  # the lower track steps to lower parts, the upper to upper ones
+    def step(config, x):
         low1, up1, low2, up2 = config
-        y = input_map[x]
-        return steps1[low1, x][0], steps1[up1, x][1], steps2[low2, y][0], steps2[up2, y][1]
+        return steps1[low1, up1, x] + steps2[low2, up2, input_map[x]]
 
     starts = {}
     id1, id2 = steps1.machine.space._block_id, steps2.machine.space._block_id
@@ -361,7 +354,7 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BU
     entries1 = {key: (_mask(masks1, r.lower.block_ids), _mask(masks1, r.upper.block_ids))
                 for key, r in m1.table.items()}
     ids2 = [(key, r.lower.block_ids, r.upper.block_ids) for key, r in m2.table.items()]
-    steps = (_BlockSteps(m1), _BlockSteps(m2))
+    steps = (_Steps(m1), _Steps(m2))
     found = []
     for f_values in iter_product(space1.states, repeat=len(states)):
         if set(f_values) != targets:

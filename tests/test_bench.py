@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["covers", "files"])
+@pytest.mark.parametrize("name", ["runs", "covers", "files"])
 def test_one_round_passes_the_check(name, tmp_path):
     workload = workloads.WORKLOADS[name]
     ctx = workload.setup(1, tmp_path)

@@ -50,7 +50,7 @@ class TestMakePartition:
         assert space.blocks == (("q1", "q2"), ("q3",))
 
     def test_duplicate_state_rejected(self):
-        with pytest.raises(DuplicateState):
+        with pytest.raises(DuplicateState, match="state q1 declared twice"):
             make_partition(["q1", "q1"], [["q1"]])
 
     def test_overlapping_cells_rejected(self):

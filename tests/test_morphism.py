@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -443,11 +444,11 @@ class TestAgainstWordByWord:
         rng = random.Random(73)
         for _ in range(15):
             m = random_machine(rng, max_states=5, max_inputs=3)
-            steps = morphism._BlockSteps(m)
-            for ids in oracles.all_subsets(range(m.space.n_blocks)):
+            subsets = oracles.all_subsets(range(m.space.n_blocks))
+            for low, up in itertools.product(subsets, repeat=2):
                 for x in m.alphabet:
-                    r = block_step(m, m.space.definable(ids), x)
-                    assert steps[ids, x] == (r.lower.block_ids, r.upper.block_ids)
+                    r_low, r_up = (block_step(m, m.space.definable(ids), x) for ids in (low, up))
+                    assert machine._step(m, low, up, x) == (r_low.lower.block_ids, r_up.upper.block_ids)
 
     def test_search_lists(self):
         rng = random.Random(71)
@@ -500,16 +501,16 @@ class TestWordRunBudget:
 
     def test_deep_covering_steps_each_configuration_once(self, five_state, monkeypatch):
         # Depth 12 checks the two-letter words, 25 * 2**2 = 100 runs. The
-        # pass steps each distinct configuration by each letter instead,
-        # and runs no word from scratch.
+        # pass steps each distinct (lower ids, upper ids, letter) once
+        # through the kernel instead, and runs no word from scratch.
         narrow, wide, pair = self.restricted_in_full(five_state)
         assert len(wide.space.states) * len(narrow.alphabet) ** 2 == 100
         computed, checked = [], []
-        missing, escape = morphism._BlockSteps.__missing__, morphism._escape
+        step, escape = morphism._step, morphism._escape
 
-        def counted_step(steps, key):
-            computed.append(key)
-            return missing(steps, key)
+        def counted_step(m, low, up, x):
+            computed.append((id(m), low, up, x))
+            return step(m, low, up, x)
 
         def counted_check(*args):
             checked.append(args)
@@ -518,7 +519,7 @@ class TestWordRunBudget:
         def no_word_runs(*args):
             raise AssertionError("a covering check ran a word from scratch")
 
-        monkeypatch.setattr(morphism._BlockSteps, "__missing__", counted_step)
+        monkeypatch.setattr(morphism, "_step", counted_step)
         monkeypatch.setattr(morphism, "_escape", counted_check)
         monkeypatch.setattr(machine, "_run", no_word_runs)
         assert check_covering(narrow, wide, pair, depth=12)
@@ -534,7 +535,7 @@ class TestWordRunBudget:
         def no_word_runs(*args):
             raise AssertionError("a homomorphism check ran a word")
 
-        monkeypatch.setattr(morphism, "_BlockSteps", no_word_runs)
+        monkeypatch.setattr(morphism, "_step", no_word_runs)
         monkeypatch.setattr(machine, "_run", no_word_runs)
         assert check_homomorphism(wide, wide, identity)
         monkeypatch.undo()
