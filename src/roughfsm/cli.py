@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .core import approximate
 from .errors import ParseError, RoughFsmError, SemanticError
@@ -180,6 +181,7 @@ def cmd_verify(args) -> int:
     return 0 if good == len(reports) else 1
 
 
+@cache  # built on the first call, not on import, and reused: parse_args leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="roughfsm",

@@ -107,6 +107,11 @@ class ApproximationSpace:
         """One int per block: the sum of its members' state_bits."""
         return tuple(sum(map(self.state_bits.__getitem__, cell)) for cell in self.blocks)
 
+    @cached_property
+    def block_positions(self) -> tuple[tuple[int, ...], ...]:
+        """One tuple per block: its members' positions in the declared order."""
+        return tuple(tuple(map(self._position.__getitem__, cell)) for cell in self.blocks)
+
     def position(self, state) -> int:
         """Index of `state` in the declared order."""
         try:
@@ -153,9 +158,8 @@ class DefinableSet:
 
     def _in_order(self, values: tuple) -> tuple:
         """The entries of `values` (one per state) at the members' positions, in order."""
-        space = self.space
-        members = chain.from_iterable(map(space.blocks.__getitem__, self.block_ids))
-        return tuple(map(values.__getitem__, sorted(map(space._position.__getitem__, members))))
+        positions = chain.from_iterable(map(self.space.block_positions.__getitem__, self.block_ids))
+        return tuple(map(values.__getitem__, sorted(positions)))
 
     def states_ordered(self) -> tuple:
         return self._in_order(self.space.states)
@@ -263,9 +267,19 @@ def approximate(space: ApproximationSpace, members: Iterable) -> RoughSet:
     return RoughSet(DefinableSet(space, lower), DefinableSet(space, upper))
 
 
+def union_block_ids(space: ApproximationSpace, members: Iterable) -> frozenset[int] | None:
+    """The ids of the blocks a subset meets when it is their union, else None."""
+    subset = set(members)
+    try:
+        ids = frozenset(map(space._block_id.__getitem__, subset))
+    except KeyError as e:
+        raise UnknownState(f"unknown state {value_name(e.args[0])}") from None
+    return ids if len(subset) == sum(map(len, map(space.blocks.__getitem__, ids))) else None
+
+
 def is_definable(space: ApproximationSpace, members: Iterable) -> bool:
-    """True iff the subset is a union of blocks (its own lower and upper)."""
-    return approximate(space, members).is_exact()
+    """True iff the subset is a union of blocks: it has as many distinct members as the blocks it meets."""
+    return union_block_ids(space, members) is not None
 
 
 def is_realizable(space: ApproximationSpace, lower: DefinableSet, upper: DefinableSet) -> bool:

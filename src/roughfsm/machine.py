@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from operator import eq
+from operator import attrgetter, eq
 from typing import Mapping, Sequence
 
 from .core import ApproximationSpace, DefinableSet, RoughSet, is_realizable, value_name
@@ -58,9 +58,11 @@ class Machine:
 
     `table` maps (state, symbol) to a RoughSet over `space`. Machines are
     value objects: two compare equal when their rendered state names,
-    blocks, alphabets and table entries agree, so a machine survives a
-    round trip through the text format even though structured names
-    (tuples, function symbols) come back as plain strings. The display
+    blocks and alphabets agree, so that block i of one prints as block i
+    of the other, and each table entry holds the same block ids. A machine
+    survives a round trip through the text format even though structured
+    names (tuples, function symbols) come back as plain strings, but
+    entries holding distinct blocks that print alike differ. The display
     name is carried along but ignored by equality.
     """
 
@@ -105,23 +107,24 @@ class Machine:
     def printed_names(self) -> tuple:
         """The printed state names, blocks as tuples of those names, and symbol names."""
         names = self.space.names
-        blocks = tuple(tuple(names[self.space._position[q]] for q in cell) for cell in self.space.blocks)
+        blocks = tuple(tuple(map(names.__getitem__, cell)) for cell in self.space.block_positions)
         return names, blocks, tuple(map(value_name, self.alphabet))
 
-    def _cells(self):
-        """The member names of each entry's lower and upper in table order, None where missing."""
-        return self.each_entry(lambda r: None if r is None else (r.lower.member_names(), r.upper.member_names()))
+    def _parts(self, f):
+        """f of each entry's lower and upper in table order, None where the entry is missing."""
+        return self.each_entry(lambda r: None if r is None else (f(r.lower), f(r.upper)))
 
     def canonical_key(self):
         names, blocks, symbols = self.printed_names()
-        cells = zip(product(names, symbols), self._cells())
+        cells = zip(product(names, symbols), self._parts(DefinableSet.member_names))
         return names, blocks, symbols, tuple((q, x, cell) for (q, x), cell in cells)
 
     def __eq__(self, other):
-        """Equal printed names, then entries compared in table order up to the first difference."""
+        """Equal printed names, then entry block ids compared in table order up to the first difference."""
         if not isinstance(other, Machine):
             return NotImplemented
-        return self.printed_names() == other.printed_names() and all(map(eq, self._cells(), other._cells()))
+        ids = attrgetter("block_ids")
+        return self.printed_names() == other.printed_names() and all(map(eq, self._parts(ids), other._parts(ids)))
 
     def __repr__(self):
         return (

@@ -23,9 +23,11 @@ Entry state lists must be unions of blocks; ragged lists raise
 NonDefinableEntry. The empty set is written { } in files and rendered
 as the symbol phi in tables.
 
-The readers split lines on whitespace and find a token's column only
-when raising ParseError. The parser reads and approximates each distinct
-member text once, so equal entries share one rough set, and the writer
+The readers split each line once on whitespace, cutting a comment only
+where '#' occurs, and find a token's column only when raising
+ParseError. A transition line splits into keyword, state, input and
+tail text: a tail text read before costs one lookup, a new one is
+tokenized, and equal token tails share one rough set. The writer
 renders each distinct entry object once.
 """
 
@@ -44,7 +46,7 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .core import approximate, make_partition, value_name, ApproximationSpace, DefinableSet, RoughSet
+from .core import make_partition, union_block_ids, value_name, ApproximationSpace, DefinableSet, RoughSet
 from .machine import Machine, block_step, block_word_step, make_machine, word_step
 from .products import InputBridge
 
@@ -65,10 +67,10 @@ EMPTY_SET_MARK = "φ"  # phi
 UNION_MARK = "∪"
 
 
-def _rows(text: str):
-    """(line number, line, tokens) of each line holding a token once its comment is cut."""
+def _rows(text: str, maxsplit: int = -1):
+    """(line number, line, tokens) of each line holding a token once its comment is cut, split maxsplit times."""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split("#", 1)[0].split()
+        tokens = (line.split("#", 1)[0] if "#" in line else line).split(None, maxsplit)
         if tokens:
             yield lineno, line, tokens
 
@@ -92,14 +94,19 @@ def _names(tokens: list[str], start: int, stop: int, line: str, lineno: int, wha
 
 
 def _parse_trans_line(tokens, line, lineno, read: dict):
-    """(state, symbol, tail) of a transition line; `read` holds the (lower, upper) names of each tail read."""
+    """(state, symbol, (lower, upper) member names) of a line split as `trans state symbol tail`.
+
+    `read` maps each tail text read, and each tail's tokens, to one shared pair.
+    """
     if len(tokens) < 4:
         raise ParseError("incomplete transition line", lineno, _column(line, 0))
-    (state,) = _names(tokens, 1, 2, line, lineno, "state")
-    (symbol,) = _names(tokens, 2, 3, line, lineno, "input")
-    tail = tuple(tokens[3:])
-    if tail in read:
-        return state, symbol, tail
+    _, state, symbol, text = tokens
+    if "{" in state or "}" in state or "{" in symbol or "}" in symbol:
+        _names(tokens, 1, 2, line, lineno, "state")
+        _names(tokens, 2, 3, line, lineno, "input")
+    if text in read:
+        return state, symbol, read[text]
+    tokens = tokens[:3] + text.split()
     end = len(tokens)
 
     def read_set(i, keyword):
@@ -120,8 +127,8 @@ def _parse_trans_line(tokens, line, lineno, read: dict):
     upper, i = read_set(i, "upper")
     if i < end:
         raise ParseError(f"unexpected token {tokens[i]!r}", lineno, _column(line, i))
-    read[tail] = (lower, upper)
-    return state, symbol, tail
+    sets = read[text] = read.setdefault(tuple(tokens[3:]), (lower, upper))
+    return state, symbol, sets
 
 
 def parse_machine(text: str) -> Machine:
@@ -133,11 +140,13 @@ def parse_machine(text: str) -> Machine:
     states = None
     blocks: list[list[str]] = []
     inputs = None
-    entries = {}  # (state, symbol) -> (line number, tail), in document order
+    entries = {}  # (state, symbol) -> (line number, (lower, upper) member names), in document order
     read = {}
 
-    for lineno, line, tokens in _rows(text):
+    for lineno, line, tokens in _rows(text, 3):
         keyword = tokens[0]
+        if keyword != "trans" and len(tokens) == 4:
+            tokens[3:] = tokens[3].split()
         if name is None:
             if keyword != "machine":
                 raise ParseError("document must start with a machine line", lineno, _column(line, 0))
@@ -145,9 +154,17 @@ def parse_machine(text: str) -> Machine:
                 raise ParseError("machine line needs exactly one name", lineno, _column(line, 0))
             (name,) = _names(tokens, 1, 2, line, lineno, "machine")
             continue
-        if keyword == "machine":
+        if keyword == "trans":
+            state, symbol, sets = _parse_trans_line(tokens, line, lineno, read)
+            if (state, symbol) in entries:
+                raise SemanticError(
+                    f"duplicate transition for ({state}, {symbol}) on line {lineno}"
+                    f" (first on line {entries[state, symbol][0]})"
+                )
+            entries[state, symbol] = (lineno, sets)
+        elif keyword == "machine":
             raise ParseError("second machine line", lineno, _column(line, 0))
-        if keyword == "states":
+        elif keyword == "states":
             if states is not None:
                 raise ParseError("second states line", lineno, _column(line, 0))
             if len(tokens) == 1:
@@ -163,14 +180,6 @@ def parse_machine(text: str) -> Machine:
             if len(tokens) == 1:
                 raise ParseError("inputs line lists no symbols", lineno, _column(line, 0))
             inputs = _names(tokens, 1, len(tokens), line, lineno, "input")
-        elif keyword == "trans":
-            state, symbol, tail = _parse_trans_line(tokens, line, lineno, read)
-            if (state, symbol) in entries:
-                raise SemanticError(
-                    f"duplicate transition for ({state}, {symbol}) on line {lineno}"
-                    f" (first on line {entries[state, symbol][0]})"
-                )
-            entries[state, symbol] = (lineno, tail)
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno, _column(line, 0))
 
@@ -191,28 +200,28 @@ def parse_machine(text: str) -> Machine:
     known = set(states)
     symbols = set(inputs)
     table = {}
-    shared = {}  # tail -> its rough set, approximated on its first line
-    for (state, symbol), (lineno, tail) in entries.items():
+    shared = {}  # id of a (lower, upper) pair in `read` -> its rough set, built on its first line
+    for (state, symbol), (lineno, sets) in entries.items():
         if state not in known:
             raise SemanticError(f"transition from unknown state {state} on line {lineno}")
         if symbol not in symbols:
             raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
-        if tail not in shared:
-            sets = []
-            for side, members in zip(("lower", "upper"), read[tail]):
+        if id(sets) not in shared:
+            parts = []
+            for side, members in zip(("lower", "upper"), sets):
                 try:
-                    rough = approximate(space, members)
+                    ids = union_block_ids(space, members)
                 except UnknownState:
                     bad = next(q for q in members if q not in known)
                     raise SemanticError(f"unknown state {bad} in {side} set on line {lineno}") from None
-                if not rough.is_exact():
+                if ids is None:
                     raise NonDefinableEntry(
                         f"{side} set of ({state}, {symbol}) on line {lineno} "
                         "is not a union of blocks"
                     )
-                sets.append(rough.upper)
-            shared[tail] = RoughSet(*sets)
-        table[(state, symbol)] = shared[tail]
+                parts.append(DefinableSet(space, ids))
+            shared[id(sets)] = RoughSet(*parts)
+        table[(state, symbol)] = shared[id(sets)]
 
     return make_machine(space, tuple(inputs), table, name)
 

@@ -206,8 +206,9 @@ def brute_canonical_key(machine):
     """The equality key of a machine, rendering every name on every use.
 
     State names, block members, symbols and each entry's member states
-    (in declared order) all go through value_name afresh; Machine.__eq__
-    must compare exactly this key.
+    (in declared order) all go through value_name afresh. On machines
+    whose states print to distinct names, Machine.__eq__ must compare
+    exactly this key.
     """
     from roughfsm.core import value_name
 
@@ -283,3 +284,148 @@ def brute_coverings(m1, m2, depth):
             if first_covering_failure(m1, m2, eta, xi, depth) is None:
                 found.append((eta, xi))
     return found
+
+
+def _reference_rows(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, line, tokens
+
+
+def _reference_column(line, index):
+    import re
+
+    return [m.start() + 1 for m in re.finditer(r"\S+", line.split("#", 1)[0])][index]
+
+
+def _reference_names(tokens, start, stop, line, lineno, what):
+    from roughfsm.errors import ParseError
+
+    names = tokens[start:stop]
+    for k, t in enumerate(names):
+        if "{" in t or "}" in t:
+            raise ParseError(f"invalid {what} name {t!r}", lineno, _reference_column(line, start + k))
+    return names
+
+
+def _reference_trans_line(tokens, line, lineno):
+    from roughfsm.errors import ParseError
+
+    if len(tokens) < 4:
+        raise ParseError("incomplete transition line", lineno, _reference_column(line, 0))
+    (state,) = _reference_names(tokens, 1, 2, line, lineno, "state")
+    (symbol,) = _reference_names(tokens, 2, 3, line, lineno, "input")
+    end = len(tokens)
+
+    def read_set(i, keyword):
+        if i == end or tokens[i] != keyword:
+            raise ParseError(f"expected '{keyword}'", lineno, _reference_column(line, min(i, end - 1)))
+        if i + 1 == end or tokens[i + 1] != "{":
+            raise ParseError("expected '{'", lineno, _reference_column(line, min(i + 1, end - 1)))
+        close = tokens.index("}", i + 2) if "}" in tokens[i + 2 :] else end
+        members = _reference_names(tokens, i + 2, close, line, lineno, "state")
+        if close == end:
+            raise ParseError("unterminated set, expected '}'", lineno, _reference_column(line, -1))
+        return members, close + 1
+
+    lower, i = read_set(3, "lower")
+    upper, i = read_set(i, "upper")
+    if i < end:
+        raise ParseError(f"unexpected token {tokens[i]!r}", lineno, _reference_column(line, i))
+    return state, symbol, (lower, upper)
+
+
+def reference_parse_machine(text):
+    """The machine reader as it was before tails were keyed on their text.
+
+    It tokenizes every line in full, reads every transition tail afresh
+    and approximates each entry's member lists with `approximate`,
+    refusing those that are not exact. The fast reader must give an
+    equal machine, or raise the same error at the same place.
+    """
+    from roughfsm.core import RoughSet, approximate, make_partition
+    from roughfsm.errors import (
+        DuplicateState,
+        NonDefinableEntry,
+        NonPartition,
+        ParseError,
+        SemanticError,
+        UnknownState,
+    )
+    from roughfsm.machine import make_machine
+
+    name = states = inputs = None
+    blocks = []
+    entries = {}
+    for lineno, line, tokens in _reference_rows(text):
+        keyword = tokens[0]
+        if name is None:
+            if keyword != "machine":
+                raise ParseError("document must start with a machine line", lineno, _reference_column(line, 0))
+            if len(tokens) != 2:
+                raise ParseError("machine line needs exactly one name", lineno, _reference_column(line, 0))
+            (name,) = _reference_names(tokens, 1, 2, line, lineno, "machine")
+            continue
+        if keyword == "machine":
+            raise ParseError("second machine line", lineno, _reference_column(line, 0))
+        if keyword == "states":
+            if states is not None:
+                raise ParseError("second states line", lineno, _reference_column(line, 0))
+            if len(tokens) == 1:
+                raise ParseError("states line lists no states", lineno, _reference_column(line, 0))
+            states = _reference_names(tokens, 1, len(tokens), line, lineno, "state")
+        elif keyword == "block":
+            if len(tokens) == 1:
+                raise ParseError("block line lists no states", lineno, _reference_column(line, 0))
+            blocks.append(_reference_names(tokens, 1, len(tokens), line, lineno, "state"))
+        elif keyword == "inputs":
+            if inputs is not None:
+                raise ParseError("second inputs line", lineno, _reference_column(line, 0))
+            if len(tokens) == 1:
+                raise ParseError("inputs line lists no symbols", lineno, _reference_column(line, 0))
+            inputs = _reference_names(tokens, 1, len(tokens), line, lineno, "input")
+        elif keyword == "trans":
+            state, symbol, sets = _reference_trans_line(tokens, line, lineno)
+            if (state, symbol) in entries:
+                raise SemanticError(
+                    f"duplicate transition for ({state}, {symbol}) on line {lineno}"
+                    f" (first on line {entries[state, symbol][0]})"
+                )
+            entries[state, symbol] = (lineno, sets)
+        else:
+            raise ParseError(f"unknown directive {keyword!r}", lineno, _reference_column(line, 0))
+
+    if name is None:
+        raise ParseError("empty document; a machine line is required")
+    if states is None:
+        raise ParseError("missing states line")
+    if not blocks:
+        raise ParseError("missing block lines")
+    if inputs is None:
+        raise ParseError("missing inputs line")
+    try:
+        space = make_partition(states, blocks)
+    except (DuplicateState, NonPartition) as e:
+        raise SemanticError(str(e)) from e
+
+    table = {}
+    for (state, symbol), (lineno, sets) in entries.items():
+        if state not in states:
+            raise SemanticError(f"transition from unknown state {state} on line {lineno}")
+        if symbol not in inputs:
+            raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
+        parts = []
+        for side, members in zip(("lower", "upper"), sets):
+            try:
+                rough = approximate(space, members)
+            except UnknownState:
+                bad = next(q for q in members if q not in states)
+                raise SemanticError(f"unknown state {bad} in {side} set on line {lineno}") from None
+            if not rough.is_exact():
+                raise NonDefinableEntry(
+                    f"{side} set of ({state}, {symbol}) on line {lineno} is not a union of blocks"
+                )
+            parts.append(rough.upper)
+        table[(state, symbol)] = RoughSet(*parts)
+    return make_machine(space, tuple(inputs), table, name)

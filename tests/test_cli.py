@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -467,6 +470,53 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--prop", "3.2", "--budget", "5")
         assert (code, out) == (2, "")
         assert "--budget" in err
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no option carries over to the next call."""
+
+    def test_cover_depth_does_not_carry_over(self, capsys, letters_only_paths):
+        first, second, pair = letters_only_paths
+        argv = ["check-cover", first, second, "--map", pair]
+        assert run_cli(capsys, *argv, "--depth", "0")[:2] == (0, "holds\n")
+        assert run_cli(capsys, *argv)[0] == 1
+
+    def test_wreath_budget_does_not_carry_over(self, capsys, m5_path):
+        argv = ["product", m5_path, m5_path, "--kind", "wreath"]
+        assert run_cli(capsys, *argv, "--budget", "1")[0] == 2
+        assert run_cli(capsys, *argv)[0] == 0
+
+    def test_trials_do_not_carry_over(self, capsys):
+        assert run_cli(capsys, "verify", "--prop", "3.1", "--trials", "0")[0] == 2
+        code, out, _ = run_cli(capsys, "verify", "--prop", "3.1")
+        assert code == 0 and out.endswith("5/5 hold\n")
+
+    def test_the_parser_is_built_once(self, capsys, m5_path):
+        _parser.cache_clear()
+        for argv in (["validate", m5_path], ["run", m5_path, "--state", "q1"], ["pivot"], ["validate", m5_path]):
+            main(argv)
+        capsys.readouterr()
+        assert _parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import roughfsm, roughfsm.cli\n"
+            "print(len(built))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout == "0\n"
 
 
 class TestTopLevel:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from roughfsm import (
     product_partition,
     value_name,
 )
+from roughfsm import core
 from roughfsm.errors import DuplicateState, MismatchedSpace, NonPartition, UnknownState
 
 import oracles
@@ -144,6 +147,30 @@ class TestIsDefinable:
             assert direct == oracles.brute_definable(space, subset)
             via_approx = approximate(space, subset).lower.states_set() == frozenset(subset)
             assert direct == via_approx
+
+    def test_agrees_with_approximate_on_seeded_subsets_without_a_rough_set(self, monkeypatch):
+        rng = random.Random(41)
+        cases = []
+        for _ in range(300):
+            states = [f"q{i}" for i in range(rng.randint(1, 9))]
+            shuffled = rng.sample(states, len(states))
+            cuts = sorted(rng.sample(range(1, len(states)), rng.randint(0, len(states) - 1)))
+            cells = [shuffled[i:j] for i, j in zip([0] + cuts, cuts + [len(states)])]
+            space = make_partition(states, cells)
+            members = rng.choices(states, k=rng.randint(0, 2 * len(states)))  # repeats included
+            cases.append((space, members, approximate(space, members).is_exact()))
+
+        def no_rough_set(*args):
+            raise AssertionError("is_definable built a rough set")
+
+        monkeypatch.setattr(core, "RoughSet", no_rough_set)
+        assert [is_definable(space, members) for space, members, _ in cases] == [exact for *_, exact in cases]
+        assert {exact for *_, exact in cases} == {True, False}
+
+    @pytest.mark.parametrize("members", [["q9"], ["q1", "q2", "q9"], ["q3", "q9", "q9"]])
+    def test_unknown_states_raise(self, members):
+        with pytest.raises(UnknownState, match="unknown state q9"):
+            is_definable(space5(), members)
 
 
 class TestIsRealizable:

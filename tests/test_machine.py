@@ -11,11 +11,15 @@ from roughfsm import (
     approximate,
     block_step,
     block_word_step,
+    full_direct,
     is_realizable,
     make_machine,
     make_partition,
+    parse_machine,
+    serialize_machine,
     validate_machine,
     word_step,
+    wreath,
 )
 from roughfsm.errors import MismatchedSpace, SemanticError, UnknownState, UnknownSymbol
 from roughfsm.generate import random_machine
@@ -387,6 +391,38 @@ class TestValidateMachine:
         assert str(Violation(None, None, "machine has no states")) == "machine has no states"
 
 
+def equality_pairs(seed):
+    """Seeded pairs of machines whose states print to distinct names."""
+    rng = random.Random(seed)
+    m1 = random_machine(rng, max_states=4, alphabet=("a", "b"), name="m1")
+    m2 = random_machine(rng, max_states=3, alphabet=("a", "b"), name="m2")
+    pairs = [(m1, m2)]
+    for m in (m1, full_direct(m1, m2), wreath(m1, m2)):
+        again = parse_machine(serialize_machine(m))
+        pairs += [(m, again), (m, Machine(m.space, m.alphabet, m.table, name="other"))]
+        keys = list(m.table)
+        for _ in range(4):  # one entry swapped for another entry of the table
+            table = dict(m.table)
+            table[rng.choice(keys)] = m.table[rng.choice(keys)]
+            swapped = Machine(m.space, m.alphabet, table)
+            pairs += [(m, swapped), (again, swapped)]
+        for _ in range(2):  # entries missing
+            first, second = dict(m.table), dict(m.table)
+            del first[rng.choice(keys)]
+            del second[rng.choice(keys)]
+            for a, b in ((first, m.table), (first, second), (first, first)):
+                pairs.append((Machine(m.space, m.alphabet, a), Machine(m.space, m.alphabet, b)))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equality_agrees_with_the_brute_key(seed):
+    for a, b in equality_pairs(seed):
+        same = oracles.brute_canonical_key(a) == oracles.brute_canonical_key(b)
+        assert (a == b) is same
+        assert (b == a) is same
+
+
 class TestMachineValueSemantics:
     def test_name_is_ignored_by_equality(self, five_state, five_state_sample):
         assert five_state == five_state_sample
@@ -417,9 +453,22 @@ class TestMachineValueSemantics:
 
         monkeypatch.setattr(DefinableSet, "member_names", counting)
         assert changed != m
-        # Both sides render their first entry, lower and upper; the full
-        # keys would take 2 * 800 entries * 2 parts = 3,200 calls.
-        assert calls <= 4
+        # Entries compare by block ids, so no member name is rendered.
+        assert calls == 0
+        assert Machine(m.space, m.alphabet, dict(m.table)) == m
+        assert calls == 0
+
+    def test_entries_holding_blocks_that_print_alike_differ(self):
+        # ("x,y", "z") and ("x", "y,z") both print as (x,y,z).
+        states = [("x,y", "z"), ("x", "y,z")]
+        space = make_partition(states, [[q] for q in states])
+        first, second = (
+            Machine(space, ("a",), {(q, "a"): approximate(space, [target]) for q in states})
+            for target in states
+        )
+        assert oracles.brute_canonical_key(first) == oracles.brute_canonical_key(second)
+        assert first != second
+        assert first == Machine(space, ("a",), first.table)
 
     def test_entry_lookup_checks_both_coordinates(self, five_state):
         assert five_state.entry("q2", "a").lower.states_set() == frozenset()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -24,6 +25,7 @@ from roughfsm.errors import (
     NameCollision,
     NonDefinableEntry,
     ParseError,
+    RoughFsmError,
     SemanticError,
     UnknownState,
     UnknownSymbol,
@@ -307,6 +309,12 @@ class TestRoundTrip:
         member_texts = {line.split(None, 3)[3] for line in text.splitlines() if line.startswith("trans ")}
         assert len(again.table) > len(member_texts)
         assert len({id(r) for r in again.table.values()}) == len(member_texts)
+        # Tails that differ only in spacing still share one rough set.
+        lines = text.splitlines()
+        respaced = [line.replace(" } ", "  }\t", 1) if i % 3 else line for i, line in enumerate(lines)]
+        spaced = parse_machine("\n".join(respaced))
+        assert spaced == again
+        assert len({id(r) for r in spaced.table.values()}) == len(member_texts)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -365,26 +373,28 @@ def colliding_factors():
     return one_letter(["x,y", "x"], "m1"), one_letter(["y,z", "z"], "m2")
 
 
-class TestNamesRenderedOnce:
-    def seeded_products(self, seed):
-        rng = random.Random(seed)
-        m1 = random_machine(rng, max_states=4, alphabet=("a", "b"), name="m1")
-        m2 = random_machine(rng, max_states=3, alphabet=("a", "b"), name="m2")
-        m3 = random_machine(rng, max_states=3, alphabet=("c",), name="m3")
-        inner = full_direct(m1, m2)
-        return [
-            inner,
-            full_direct(inner, m3),
-            restricted_direct(inner, inner),
-            general_direct(m1, m2, random_bridge(rng, m1, m2)),
-            cascade(m1, m2, random_wiring(rng, m1, m2)),
-            wreath(m1, m2),
-            wreath(inner, m3),
-        ]
+def seeded_products(seed):
+    """Products of every kind from seeded random machines, two of them products of products."""
+    rng = random.Random(seed)
+    m1 = random_machine(rng, max_states=4, alphabet=("a", "b"), name="m1")
+    m2 = random_machine(rng, max_states=3, alphabet=("a", "b"), name="m2")
+    m3 = random_machine(rng, max_states=3, alphabet=("c",), name="m3")
+    inner = full_direct(m1, m2)
+    return [
+        inner,
+        full_direct(inner, m3),
+        restricted_direct(inner, inner),
+        general_direct(m1, m2, random_bridge(rng, m1, m2)),
+        cascade(m1, m2, random_wiring(rng, m1, m2)),
+        wreath(m1, m2),
+        wreath(inner, m3),
+    ]
 
+
+class TestNamesRenderedOnce:
     @pytest.mark.parametrize("seed", range(8))
     def test_key_matches_the_brute_key_and_text_is_stable(self, seed):
-        for product in self.seeded_products(seed):
+        for product in seeded_products(seed):
             assert product.canonical_key() == oracles.brute_canonical_key(product)
             text = serialize_machine(product)
             again = parse_machine(text)
@@ -422,6 +432,116 @@ class TestNamesRenderedOnce:
         assert top_level <= n_symbols
         monkeypatch.undo()
         assert text == serialize_machine(product)
+
+
+# sha256 of serialize_machine on seeded_products(seed): the writer's bytes must not move.
+SERIALIZED_SHA256 = {
+    0: [
+        "34d44bb87880f217ab764a5f2a848b6dfc16ed91b5cfbac795e7e3f2da857a91",
+        "5925ec325b434d1edd0d631a716d991db0beeca6f333fb4ae0856e6e841ad2ed",
+        "0bf92f9363084fb3497581c4a2e5fde331a60897439eb6adb2932466a3ac9f33",
+        "f0a4bf8dfcc5a4554b5286f99883367025e4cb4c3071abb4d92e7a16696bb4cb",
+        "0cdfa2b3f79793bfcf13b8140447499f37b5448f7927eb72b9bf06a011fdaf89",
+        "2a47759f671ad450497b19dc90896da043c9885816eec23e89a9d3225d1409af",
+        "b494484aa42ffba1fb714b4fb53185e5374e0c40e11f7a8d5859ff3e6a134b12",
+    ],
+    1: [
+        "6c33be1d2086f55455938d8e54bd6e3d2ad347df9e5840f3b8edfe03e6a8eb24",
+        "bc146411aa556457ac808c7364ef4a758215cfe5e1c883bacb53bd76851001c9",
+        "449aa4855bcde8f93192c9d3f9613d8b5841fc6e49b224123a67724a7c9856b7",
+        "7c2713975a3232feaf1431e47402fd118a0cd7c6820a82647df7c67a38f95e1b",
+        "c0cc3b11c971dfea2583f1130fac9680095eb77456098903cf573d234c3b9211",
+        "873130638c31d14713fd3863afb4f1928be03c8b57af5357557f56a322a2a37d",
+        "8274065b233ee4b330157288057ee5cbd0dcafaae32c71f890258c41f5142d77",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SERIALIZED_SHA256))
+def test_serialized_bytes_are_pinned(seed):
+    texts = [serialize_machine(p).encode("utf-8") for p in seeded_products(seed)]
+    assert [hashlib.sha256(t).hexdigest() for t in texts] == SERIALIZED_SHA256[seed]
+
+
+def reader_outcome(read, text):
+    """The machine `read` makes of `text`, or the type, message, line and column of its error."""
+    try:
+        return read(text)
+    except RoughFsmError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
+
+
+def mutate(rng, text):
+    """`text` with one to three edits of the kinds a reader must refuse or read past."""
+    lines = text.splitlines()
+    trans = [i for i, line in enumerate(lines) if line.startswith("trans ")]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        k = rng.randrange(len(tokens)) if tokens else 0
+        edit = rng.randrange(9)
+        if edit == 0 and tokens:  # a token dropped
+            lines[i] = " ".join(tokens[:k] + tokens[k + 1 :])
+        elif edit == 1 and tokens:  # a token duplicated
+            lines[i] = " ".join(tokens[: k + 1] + tokens[k:])
+        elif edit == 2 and tokens:  # a token braced
+            tokens[k] = rng.choice(["{", "}", "{" + tokens[k], tokens[k] + "}"])
+            lines[i] = " ".join(tokens)
+        elif edit == 3:  # a tail read before, under a bad state or input token
+            _, state, symbol, tail = lines[rng.choice(trans)].split(None, 3)
+            bad = rng.choice(["zz", "q{", "}", "{"])
+            state, symbol = (bad, symbol) if rng.random() < 0.5 else (state, bad)
+            lines.insert(rng.randint(i, len(lines)), f"trans {state} {symbol} {tail}")
+        elif edit == 4:  # a trailing comment, or a '#' inside a token
+            lines[i] += rng.choice([" # note", "#", "  #trans q a"])
+            if tokens and rng.random() < 0.3:
+                tokens[k] += "#x"
+                lines[i] = " ".join(tokens)
+        elif edit == 5:  # extra spaces
+            lines[i] = rng.choice(["  ", "\t", ""]) + lines[i].replace(" ", rng.choice(["  ", " \t "]), 2) + "  "
+        elif edit == 6:  # a duplicate transition
+            lines.insert(rng.randint(i, len(lines)), lines[rng.choice(trans)])
+        elif edit == 7:  # a transition moved onto another state's tail
+            j, k = rng.choice(trans), rng.choice(trans)
+            lines[j] = " ".join(lines[j].split(None, 3)[:3] + [lines[k].split(None, 3)[3]])
+        else:  # a set member replaced, repeated or unknown
+            j = rng.choice(trans)
+            tokens = lines[j].split()
+            members = [m for m, t in enumerate(tokens) if m > 2 and t not in ("lower", "upper", "{", "}")]
+            if members:
+                tokens[rng.choice(members)] = rng.choice(["zz", tokens[rng.choice(members)], tokens[1]])
+                lines[j] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestAgainstReferenceReader:
+    def documents(self, seed):
+        rng = random.Random(seed)
+        m1 = random_machine(rng, max_states=4, alphabet=("a", "b"), name="m1")
+        m2 = random_machine(rng, max_states=3, alphabet=("a", "b"), name="m2")
+        return [
+            serialize_machine(p)
+            for p in (
+                full_direct(m1, m2),
+                restricted_direct(m1, m2),
+                general_direct(m1, m2, random_bridge(rng, m1, m2)),
+                wreath(m1, m2),
+                cascade(m1, m2, random_wiring(rng, m1, m2)),
+            )
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fast_reader_agrees_with_the_reference(self, seed):
+        rng = random.Random(seed)
+        for text in self.documents(seed):
+            for mutated in [text] + [mutate(rng, text) for _ in range(12)]:
+                got = reader_outcome(parse_machine, mutated)
+                want = reader_outcome(oracles.reference_parse_machine, mutated)
+                if isinstance(want, tuple):
+                    assert got == want, mutated
+                else:
+                    assert got == want and got.name == want.name
+                    assert got.canonical_key() == want.canonical_key()
 
 
 class TestFormatting:
