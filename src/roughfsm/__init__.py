@@ -67,15 +67,12 @@ from .products import (
     InputBridge,
     all_function_symbols,
     cascade,
-    compose_wreath_inputs,
     diagonal_bridge,
     full_direct,
     general_direct,
     pairing_bridge,
     restricted_direct,
     wreath,
-    wreath_identity,
-    wreath_word_pair,
 )
 from .propositions import (
     CLAIM_NAMES,

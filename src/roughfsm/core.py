@@ -139,7 +139,18 @@ class ApproximationSpace:
         for i in ids:
             if not 0 <= i < self.n_blocks:
                 raise NonPartition(f"no block with id {i}")
-        return DefinableSet(self, ids)
+        return DefinableSet(self, self._id_sets.setdefault(ids, ids))
+
+    @cached_property
+    def _id_sets(self) -> dict:
+        """Block-id frozensets seen by `definable` and `approximate`, each mapped to itself.
+
+        Sets built there share one frozenset per distinct ids, so a
+        table that repeats a few block sets holds each of them once. It
+        holds frozensets only, so it forms no reference cycle with the
+        space.
+        """
+        return {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,6 +275,7 @@ def approximate(space: ApproximationSpace, members: Iterable) -> RoughSet:
     except KeyError as e:
         raise UnknownState(f"unknown state {value_name(e.args[0])}") from None
     lower = frozenset(i for i in upper if subset.issuperset(space.blocks[i]))
+    lower, upper = (space._id_sets.setdefault(ids, ids) for ids in (lower, upper))
     return RoughSet(DefinableSet(space, lower), DefinableSet(space, upper))
 
 

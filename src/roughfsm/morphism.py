@@ -39,6 +39,16 @@ map's image, and a part is contained in another when the OR of its
 block masks has no bit outside the OR of the other's. The two-letter
 pass steps block ids through `machine._step`, the step every run takes,
 memoized per machine for one check or one search.
+
+`search_coverings` assigns eta depth first, one m2 state at a time in
+declared order, trying m1's states in declared order, and keeps its own
+stack, so |Q2| is not limited by recursion. A partial map is dropped at
+the first state where block respect, onto-ness (enough states left to
+hit every m1 state) or a letter fails. Each m2 entry is checked as soon
+as its state and every member of its blocks have a value, by striking
+its letter from the candidates of every m1 letter it cannot serve. The
+budget still counts every pair of maps, |Q1|^|Q2| * |X2|^|X1|, though
+far fewer are visited.
 """
 
 from __future__ import annotations
@@ -123,8 +133,12 @@ class CheckResult:
         return f"fails at ({parts}): {self.reason}"
 
 
-def _require_total(mapping: Mapping, domain, codomain, what: str):
-    codomain = set(codomain)
+def _require_total(mapping: Mapping, domain, codomain: Mapping, what: str):
+    """Raise TotalityError unless `mapping` sends each of `domain` to a key of `codomain`.
+
+    `codomain` is a position index of the target, `_position` of a
+    space or `_symbol_index` of a machine, so no set is built per check.
+    """
     for v in domain:
         if v not in mapping:
             raise TotalityError(f"{what} is undefined on {value_name(v)}")
@@ -262,8 +276,8 @@ def check_homomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckRes
     misses part of its domain or escapes its codomain.
     """
     f = pair.state_map
-    _require_total(f, m1.space.states, m2.space.states, "state map")
-    _require_total(pair.input_map, m1.alphabet, m2.alphabet, "input map")
+    _require_total(f, m1.space.states, m2.space._position, "state map")
+    _require_total(pair.input_map, m1.alphabet, m2._symbol_index, "input map")
     image = _image_masks(m1.space, f, m2.space)
     respected = _blocks_respected(m1.space, f, m2.space, image)
     if not respected:
@@ -305,8 +319,8 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     """
     _require_depth(depth)
     eta = pair.state_map
-    _require_total(eta, m2.space.states, m1.space.states, "state map")
-    _require_total(pair.input_map, m1.alphabet, m2.alphabet, "input map")
+    _require_total(eta, m2.space.states, m1.space._position, "state map")
+    _require_total(pair.input_map, m1.alphabet, m2._symbol_index, "input map")
     if set(map(eta.__getitem__, m2.space.states)) != set(m1.space.states):
         raise NotOnto("state map does not reach every covered state")
     image = _image_masks(m2.space, eta, m1.space)
@@ -319,23 +333,59 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     return _walk(m1, m2, pairs, pair.input_map, masks, _COVERED, depth)
 
 
+def _strike(cands, checks, image, rows1, eta):
+    """Per m1 letter, the m2 letters of `cands` left after `checks`; None once one has none.
+
+    Each check is (m2 state position, bit of an m2 letter y, lower ids,
+    upper ids) of the entry at (q2, y); `image` holds the eta-images of
+    its blocks. y is struck for each m1 letter whose entry at eta(q2),
+    in `rows1`, escapes that image.
+    """
+    cands = list(cands)
+    for q, bit, low, up in checks:
+        low2 = up2 = 0
+        for i in low:
+            low2 |= image[i]
+        for i in up:
+            up2 |= image[i]
+        for x, (low1, up1) in enumerate(rows1[eta[q]]):
+            if cands[x] & bit and (low1 & ~low2 or up1 & ~up2):
+                cands[x] &= ~bit
+                if not cands[x]:
+                    return None
+    return cands
+
+
 def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BUDGET) -> list[CoveringPair]:
     """Every (eta, xi) under which m2 covers m1, in enumeration order.
 
     Candidate state maps run lexicographically over m1's states per m2
     state, input maps over m2's alphabet per m1 symbol, state map major.
     The full candidate count |Q1|^|Q2| * |X2|^|X1| must stay within
-    `budget` (BudgetExceeded otherwise). Returns [] when nothing passes;
-    with fewer states in m2 than in m1 no map is onto, so the result is
-    empty without enumeration. A negative depth raises BadDepth.
+    `budget` (BudgetExceeded otherwise), although the search visits far
+    fewer. Returns [] when nothing passes; with fewer states in m2 than
+    in m1 no map is onto, so the result is empty without a search. A
+    negative depth raises BadDepth.
 
-    The letter conditions factor: block respect depends on eta alone,
-    and each letter's entries on eta and that letter's target. So each
-    onto eta is checked once, each letter gets the list of m2 letters
-    whose entries pass, in alphabet order, and the input maps are the
-    product of those lists, in the same order as the full enumeration.
-    At depth 2 or more only those candidates go on to the two-letter
-    words, which decide every word.
+    eta is built by depth-first assignment, with an explicit stack: m2's
+    states take values in declared order, each trying m1's states in
+    declared order, so complete maps come out in lexicographic order. A
+    partial map is dropped at the first state whose value breaks one of
+    three conditions:
+
+    - block respect: a state whose block has an assigned member may only
+      take states of that member's m1 block;
+    - onto: the unassigned m2 states must be at least as many as the m1
+      states not hit yet;
+    - letters: once q2 and every member of the blocks in its entry on y
+      are assigned, that entry's eta-image is known, and y is struck
+      from the candidates of each m1 letter x whose entry at eta(q2)
+      escapes it. A map is dropped when some x has no candidate left.
+
+    A complete map has passed block respect and every letter, and its
+    input maps are the product of the surviving candidate lists, in
+    alphabet order. At depth 2 or more only those go on to the
+    two-letter words, which decide every word.
     """
     _require_depth(depth)
     n_states = len(m1.space.states) ** len(m2.space.states)
@@ -347,36 +397,76 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BU
         return []
 
     space1, space2 = m1.space, m2.space
-    states = space2.states
-    targets = set(space1.states)
-
+    states1, states2 = space1.states, space2.states
+    n1, n2 = len(states1), len(states2)
     masks1 = space1.block_masks
-    entries1 = {key: (_mask(masks1, r.lower.block_ids), _mask(masks1, r.upper.block_ids))
-                for key, r in m1.table.items()}
-    ids2 = [(key, r.lower.block_ids, r.upper.block_ids) for key, r in m2.table.items()]
-    steps = (_Steps(m1), _Steps(m2))
+    # Per m1 state position, per letter of m1: (lower, upper) state masks.
+    rows1 = [
+        [(_mask(masks1, r.lower.block_ids), _mask(masks1, r.upper.block_ids)) for r in row]
+        for row in ([m1.table[(q, x)] for x in m1.alphabet] for q in states1)
+    ]
+    home1 = [sorted(space1.block_positions[space1._block_id[q]]) for q in states1]
+    members2 = space2.block_positions
+    first2 = [min(members2[space2._block_id[q]]) for q in states2]
+    last2 = [max(cell) for cell in members2]
+    closes = [None] * n2  # the m2 block whose last member is at each depth
+    for b, d in enumerate(last2):
+        closes[d] = b
+    # Each m2 entry is checked at the depth where its eta-image is known.
+    checks = [[] for _ in range(n2)]
+    position2, letter_bit = space2._position, {y: 1 << i for i, y in enumerate(m2.alphabet)}
+    for (q2, y), r in m2.table.items():
+        low, up = r.lower.block_ids, r.upper.block_ids
+        d = max(map(last2.__getitem__, low | up), default=0)
+        d = max(d, position2[q2])
+        checks[d].append((position2[q2], letter_bit[y], low, up))
+
     found = []
-    for f_values in iter_product(space1.states, repeat=len(states)):
-        if set(f_values) != targets:
+    steps = (_Steps(m1), _Steps(m2))
+    image = [0] * space2.n_blocks  # OR of eta's bits over each closed m2 block
+    eta = [-1] * n2
+    hits = [0] * n1
+    missing = n1  # m1 states that no assigned m2 state maps to
+    cands = [None] * (n2 + 1)  # per m1 letter, a bit mask over m2's letters
+    cands[0] = [(1 << len(m2.alphabet)) - 1] * len(m1.alphabet)
+    options = [None] * n2
+    options[0] = iter(range(n1))
+    d = 0
+    while d >= 0:
+        j = eta[d]
+        if j >= 0:
+            hits[j] -= 1
+            missing += not hits[j]
+            eta[d] = -1
+        j = next(options[d], -1)
+        if j < 0:
+            d -= 1
             continue
-        eta = dict(zip(states, f_values))
-        image = _image_masks(space2, eta, space1)
-        if not _blocks_respected(space2, eta, space1, image):
+        eta[d] = j
+        missing -= not hits[j]
+        hits[j] += 1
+        if n2 - d - 1 < missing:
             continue
-        entries2 = {key: (_mask(image, low), _mask(image, up)) for key, low, up in ids2}
-
-        def passes(x, y):
-            for q2, q1 in zip(states, f_values):
-                (low1, up1), (low2, up2) = entries1[(q1, x)], entries2[(q2, y)]
-                if low1 & ~low2 or up1 & ~up2:
-                    return False
-            return True
-
-        choices = [[y for y in m2.alphabet if passes(x, y)] for x in m1.alphabet]
-        pairs = list(zip(states, f_values, states))
+        b = closes[d]
+        if b is not None:
+            mask = 0
+            for p in members2[b]:
+                mask |= 1 << eta[p]
+            image[b] = mask
+        c = _strike(cands[d], checks[d], image, rows1, eta) if checks[d] else cands[d]
+        if c is None:
+            continue
+        if d + 1 < n2:
+            d += 1
+            cands[d] = c
+            options[d] = iter(range(n1)) if first2[d] == d else iter(home1[eta[first2[d]]])
+            continue
+        eta_map = {q: states1[j] for q, j in zip(states2, eta)}
+        choices = [[y for y in m2.alphabet if cx & letter_bit[y]] for cx in c]
+        pairs = list(zip(states2, eta_map.values(), states2))
         masks = (masks1, image)
         for g_values in iter_product(*choices):
             xi = dict(zip(m1.alphabet, g_values))
             if depth < 2 or _words(*steps, pairs, xi, masks, _COVERED):
-                found.append(CoveringPair(eta, xi))
+                found.append(CoveringPair(eta_map, xi))
     return found

@@ -47,9 +47,6 @@ __all__ = [
     "cascade",
     "diagonal_bridge",
     "pairing_bridge",
-    "wreath_word_pair",
-    "wreath_identity",
-    "compose_wreath_inputs",
 ]
 
 WREATH_BUDGET = 4096
@@ -226,34 +223,3 @@ def pairing_bridge(first_alphabet: Sequence, second_alphabet: Sequence) -> Input
     """The identity bridge on all input pairs, first component major."""
     carrier = tuple((x1, x2) for x1 in first_alphabet for x2 in second_alphabet)
     return InputBridge(carrier, {pair: pair for pair in carrier})
-
-
-def wreath_word_pair(f: FunctionSymbol, symbol) -> tuple[FunctionSymbol, tuple]:
-    """Lift a wreath letter into the word semigroup.
-
-    Outputs become one-letter words and the second component a one-letter
-    word, so letters and composites live in one representation.
-    """
-    lifted = FunctionSymbol(f.domain, tuple((o,) for o in f.outputs))
-    return lifted, (symbol,)
-
-
-def wreath_identity(domain: Sequence) -> tuple[FunctionSymbol, tuple]:
-    """The unit: the everywhere-empty-word function with the empty word."""
-    domain = tuple(domain)
-    return FunctionSymbol(domain, ((),) * len(domain)), ()
-
-
-def compose_wreath_inputs(first, second):
-    """Concatenate two word-valued wreath inputs pointwise.
-
-    (f, s) * (g, t) = (fg, st) where (fg)(q) is f's word at q followed by
-    g's word at q. Operands must share a domain (ShapeMismatch) and be in
-    the word form produced by wreath_word_pair or wreath_identity.
-    """
-    f, s = first
-    g, t = second
-    if f.domain != g.domain:
-        raise ShapeMismatch("wreath inputs over different domains do not compose")
-    outputs = tuple(fo + go for fo, go in zip(f.outputs, g.outputs))
-    return FunctionSymbol(f.domain, outputs), tuple(s) + tuple(t)

@@ -281,32 +281,70 @@ def word_text(word) -> str:
 
 
 def _read_names(by_name: dict, text: str, error: type, what: str) -> tuple:
-    """Values whose names spell `text`, matched greedily, longest name first."""
-    names = sorted(by_name, key=len, reverse=True)
-    values = []
-    i = 0
-    while i < len(text):
-        if text[i] in " ,\t":
-            i += 1
+    """The values whose names spell `text`, when exactly one sequence of them does.
+
+    Whitespace and commas may stand between names. A dynamic program over
+    text positions keeps, for each prefix, up to two of its distinct
+    readings, each a node (previous node, name) interned so that equal
+    readings share one node. `error` is raised at the furthest readable
+    position when no reading spells the whole text, and with two readings
+    when more than one does.
+    """
+    by_first = {}
+    for n in by_name:
+        if n:
+            by_first.setdefault(n[0], []).append(n)
+    nodes = [None]  # node 0 is the empty reading
+    interned = {}
+    reads = [[] for _ in range(len(text) + 1)]
+    reads[0].append(0)
+
+    def add(at, node):
+        if node not in reads[at] and len(reads[at]) < 2:
+            reads[at].append(node)
+
+    for i, ch in enumerate(text):
+        if not reads[i]:
             continue
-        for n in names:
+        if ch in " ,\t":
+            for node in reads[i]:
+                add(i + 1, node)
+        for n in by_first.get(ch, ()):
             if text.startswith(n, i):
-                values.append(by_name[n])
-                i += len(n)
-                break
-        else:
-            raise error(f"cannot read {what} at {text[i:]!r}")
-    return tuple(values)
+                for node in reads[i]:
+                    key = (node, n)
+                    if key not in interned:
+                        interned[key] = len(nodes)
+                        nodes.append(key)
+                    add(i + len(n), interned[key])
+
+    def names(node):
+        out = []
+        while node:
+            node, n = nodes[node]
+            out.append(n)
+        return out[::-1]
+
+    found = reads[-1]
+    if not found:
+        stuck = max(i for i, r in enumerate(reads) if r)
+        raise error(f"cannot read {what} at {text[stuck:]!r}")
+    if len(found) > 1:
+        first, second = (" ".join(names(node)) for node in found)
+        raise error(f"{text!r} reads two ways, as {first!r} and as {second!r}")
+    return tuple(map(by_name.__getitem__, names(found[0])))
 
 
 def word_from_text(machine: Machine, text: str) -> tuple:
     """Read a word against a machine's alphabet.
 
-    Symbols are matched greedily, longest name first, so single-letter
-    words can be written run together ("ab") while structured names
-    ("(a,b)(a,b)") still tokenize. Whitespace and commas between matches
-    are skipped, except that a comma inside a structured name binds to
-    the name. The empty string is the empty word.
+    Single-letter words can be written run together ("ab") and
+    structured names ("(a,b)(a,b)") still tokenize. Whitespace and commas
+    between names are skipped, and a comma inside a structured name binds
+    to the name. The text must spell exactly one sequence of symbols:
+    over {a, ab, bc}, "abc" reads as a bc; over {a, ab, b}, "ab" is
+    ambiguous and raises UnknownSymbol, as does text that spells no
+    word. The empty string is the empty word.
     """
     return _read_names({value_name(x): x for x in machine.alphabet}, text, UnknownSymbol, "an input symbol")
 
@@ -314,8 +352,9 @@ def word_from_text(machine: Machine, text: str) -> tuple:
 def subset_from_text(space: ApproximationSpace, text: str) -> tuple:
     """Read a state subset the same way word_from_text reads words.
 
-    State names are matched greedily, longest first, with whitespace and
-    separating commas skipped; "q1,q3" and "(q1,q2)(q3,q4)" both work.
+    State names may be run together or separated by whitespace or
+    commas; "q1,q3" and "(q1,q2)(q3,q4)" both work. Text with no reading
+    or with two raises UnknownState.
     """
     return _read_names(dict(zip(space.names, space.states)), text, UnknownState, "a state name")
 

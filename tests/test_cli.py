@@ -145,6 +145,15 @@ class TestRun:
         assert code == 2
         assert "exactly one state" in err
 
+    def test_ambiguous_word_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "overlap.machine"
+        path.write_text(serialize_machine(exact_machine(1, ("a", "ab", "b"))))
+        code, out, err = run_cli(capsys, "run", str(path), "--state", "s1", "--word", "ab")
+        assert code == 2
+        assert err == "error: 'ab' reads two ways, as 'ab' and as 'a b'\n"
+        code, out, err = run_cli(capsys, "run", str(path), "--state", "s1", "--word", "a b")
+        assert (code, out.strip()) == (0, "({s1},{s1})")
+
 
 class TestBlocksAndApprox:
     def test_blocks_table(self, capsys, m5_path):

@@ -107,6 +107,13 @@ class TestApproximate:
         with pytest.raises(UnknownState):
             approximate(space5(), ["q9"])
 
+    def test_equal_block_sets_share_one_frozenset(self):
+        space = space5()
+        first, second = approximate(space, ["q1", "q3"]), approximate(space, ["q2", "q5"])
+        assert first.upper.block_ids is second.upper.block_ids
+        assert first.lower.block_ids is second.lower.block_ids
+        assert space.definable([1, 0]).block_ids is first.upper.block_ids
+
     def test_matches_brute_force_on_all_subsets(self):
         space = space5()
         for subset in oracles.all_subsets(space.states):

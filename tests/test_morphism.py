@@ -265,7 +265,7 @@ def relabeled(rng, m):
     return make_machine(space, [g[x] for x in m.alphabet], table, "relabeled"), MorphismPair(f, g)
 
 
-def coarse_over_fine(rng, n_states, letters, extra=0.0):
+def coarse_over_fine(rng, n_states, letters, extra=0.0, min_block_size=2):
     """A blocky machine and the same table over a finer partition.
 
     The identity pair passes block respect and every letter, both as a
@@ -277,7 +277,7 @@ def coarse_over_fine(rng, n_states, letters, extra=0.0):
     longer need.
     """
     states = [f"q{i}" for i in range(n_states)]
-    coarse = random_partition(rng, states, min_block_size=2)
+    coarse = random_partition(rng, states, min_block_size=min_block_size)
     cells = []
     for cell in coarse.blocks:
         cut = rng.randint(1, len(cell))
@@ -461,10 +461,132 @@ class TestAgainstWordByWord:
             pairs.append((coarse, fine))
         narrowed = 0
         for m1, m2 in pairs:
-            found = [[(p.state_map, p.input_map) for p in search_coverings(m1, m2, depth)] for depth in range(4)]
-            assert found == [oracles.brute_coverings(m1, m2, depth) for depth in range(4)]
+            found = search_lists(m1, m2)
             narrowed += len(found[3]) < len(found[1])
         assert narrowed
+
+
+def with_twins(m, states):
+    """m with a twin of each of `states` in its block, plus the map home of every state.
+
+    Every entry is the preimage of m's entry under that map, so the map
+    and the identity on letters make a covering on every word.
+    """
+    home = {q: q for q in m.space.states} | {q + "'": q for q in states}
+    space = make_partition(home, [[t for t, q in home.items() if q in cell] for cell in m.space.blocks])
+
+    def preimage(d):
+        return space.definable(space.block_id(m.space.blocks[i][0]) for i in d.block_ids)
+
+    table = {(t, x): RoughSet(preimage(m.table[(q, x)].lower), preimage(m.table[(q, x)].upper))
+             for t, q in home.items() for x in m.alphabet}
+    return make_machine(space, m.alphabet, table, "twins"), home
+
+
+def search_lists(m1, m2, depths=range(4)):
+    """search_coverings' (eta, xi) lists at each depth, checked against the brute force."""
+    found = [[(p.state_map, p.input_map) for p in search_coverings(m1, m2, depth)] for depth in depths]
+    assert found == [oracles.brute_coverings(m1, m2, depth) for depth in depths]
+    return found
+
+
+class TestSearchAgainstBruteForce:
+    """The backtracking search lists what the full enumeration lists, in its order."""
+
+    @pytest.mark.parametrize("seed", [101, 102, 103, 104])
+    def test_random_pairs_with_up_to_three_letters(self, seed):
+        rng = random.Random(seed)
+        hits = 0
+        for _ in range(10):
+            m1 = random_machine(rng, max_states=2, max_inputs=3, name="m1")
+            m2 = random_machine(rng, max_states=4, max_inputs=3, name="m2", min_block_size=rng.randint(1, 2))
+            hits += len(search_lists(m1, m2)[1])
+        assert hits
+
+    def test_coarse_over_fine_with_blocks_of_two_to_four(self):
+        rng = random.Random(107)
+        sizes = set()
+        for i in range(12):
+            letters = ("a", "b", "c") if i % 3 == 0 else ("a", "b")
+            n, extra, min_block_size = rng.randint(2, 4), 0.2 * (i % 2), 2 + i % 2
+            coarse, fine, identity = coarse_over_fine(rng, n, letters, extra, min_block_size)
+            sizes.update(map(len, coarse.space.blocks))
+            found = search_lists(coarse, fine)
+            assert identity in found[1]
+        assert {2, 3, 4} <= sizes
+
+    def test_three_in_six_and_three_in_five(self):
+        rng = random.Random(109)
+        for i in range(4):
+            letters = ("a", "b", "c")[: 2 + i % 2]
+            m1 = random_machine(rng, n_states=3, alphabet=letters, name="m1")
+            six = restricted_direct(m1, exact_machine(2, letters))
+            # The projection (q, s) -> q with the identity on letters covers m1.
+            projection = ({q: q[0] for q in six.space.states}, {x: x for x in letters})
+            assert projection in search_lists(m1, six)[1]
+            five, home = with_twins(m1, m1.space.states[:2])
+            assert (home, {x: x for x in letters}) in search_lists(m1, five)[3]
+
+    def test_one_state_covered_machine(self, five_state):
+        one = exact_machine(1, ("x", "y"))
+        found = search_lists(one, five_state)
+        assert all(set(eta.values()) == {"s1"} for eta, _xi in found[1])
+
+    def test_equal_state_counts_admit_only_bijections(self):
+        rng = random.Random(113)
+        hits = 0
+        for _ in range(8):
+            m1 = random_machine(rng, n_states=3, max_inputs=2, name="m1")
+            m2, _pair = relabeled(rng, m1)
+            found = search_lists(m1, m2)
+            assert all(len(set(eta.values())) == 3 for eta, _xi in found[0])
+            hits += len(found[1])
+        assert hits >= 8
+
+    def test_singleton_blocks(self):
+        rng = random.Random(127)
+        for _ in range(6):
+            m1 = random_machine(rng, max_states=2, max_inputs=2, name="m1")
+            m2 = restricted_direct(m1, exact_machine(2, m1.alphabet))
+            fine = make_partition(m2.space.states, [[q] for q in m2.space.states])
+            singles = make_machine(fine, m2.alphabet, {
+                key: RoughSet(fine.definable(map(fine.block_id, r.lower.states_ordered())),
+                              fine.definable(map(fine.block_id, r.upper.states_ordered())))
+                for key, r in m2.table.items()
+            })
+            search_lists(m1, singles)
+
+    def test_entries_with_empty_lowers(self):
+        rng = random.Random(131)
+        for _ in range(8):
+            m1 = random_machine(rng, max_states=2, max_inputs=2, name="m1")
+            m2 = random_machine(rng, max_states=4, alphabet=m1.alphabet, name="m2")
+            hollow = {key: RoughSet(m2.space.empty_set(), r.upper) for key, r in m2.table.items()}
+            search_lists(m1, make_machine(m2.space, m2.alphabet, hollow, "hollow"))
+            m1_hollow = {key: RoughSet(m1.space.empty_set(), r.upper) for key, r in m1.table.items()}
+            search_lists(make_machine(m1.space, m1.alphabet, m1_hollow, "m1"), m2)
+
+    def test_one_state_against_fifteen_hundred(self):
+        # The search keeps its own stack, so |Q2| is not bounded by recursion.
+        one, wide = exact_machine(1, ("a", "b")), exact_machine(1500, ("a", "b"), state_prefix="t")
+        for depth in (1, 2):
+            found = search_coverings(one, wide, depth)
+            assert [p.input_map for p in found] == [
+                {"a": "a", "b": "a"}, {"a": "a", "b": "b"}, {"a": "b", "b": "a"}, {"a": "b", "b": "b"}
+            ]
+            assert all(p.state_map == {q: "s1" for q in wide.space.states} for p in found)
+
+    def test_budget_is_checked_before_any_work(self, five_state, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(morphism, "_mask", refuse)
+        monkeypatch.setattr(morphism, "_strike", refuse)
+        wide = restricted_direct(five_state, exact_machine(2, five_state.alphabet))
+        with pytest.raises(BudgetExceeded) as err:
+            search_coverings(five_state, wide, depth=2)
+        assert err.value.size == 5**10 * 2**2
+        assert err.value.budget == 1_000_000
 
 
 class TestWordRunBudget:

@@ -4,15 +4,12 @@ import random
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from roughfsm import (
     CascadeWiring,
     FunctionSymbol,
     InputBridge,
     cascade,
-    compose_wreath_inputs,
     diagonal_bridge,
     full_direct,
     general_direct,
@@ -20,10 +17,8 @@ from roughfsm import (
     restricted_direct,
     validate_machine,
     wreath,
-    wreath_identity,
-    wreath_word_pair,
 )
-from roughfsm.core import product_partition
+from roughfsm.core import approximate, make_partition, product_partition
 from roughfsm.errors import (
     AlphabetMismatch,
     BridgeTotalityError,
@@ -34,6 +29,7 @@ from roughfsm.errors import (
     WiringTotalityError,
 )
 from roughfsm.generate import exact_machine, random_bridge, random_machine, random_wiring
+from roughfsm.machine import make_machine, word_step
 from roughfsm.products import all_function_symbols
 
 
@@ -254,37 +250,25 @@ class TestCascade:
 
 DOMAIN = ("s", "t")
 
-word_values = st.lists(st.sampled_from(["a", "b"]), max_size=2).map(tuple)
-wreath_words = st.tuples(word_values, word_values, word_values).map(
-    lambda t: (FunctionSymbol(DOMAIN, (t[0], t[1])), t[2])
-)
+def exact_table(states, alphabet, target):
+    """A machine of singleton blocks whose entry at (q, x) is exactly {target(q, x)}."""
+    space = make_partition(states, [[q] for q in states])
+    table = {(q, x): approximate(space, [target(q, x)]) for q in states for x in alphabet}
+    return make_machine(space, alphabet, table)
 
 
-class TestWreathInputSemigroup:
-    def test_identity_laws(self):
-        unit = wreath_identity(DOMAIN)
-        f = FunctionSymbol(DOMAIN, ("a", "b"))
-        lifted = wreath_word_pair(f, "c")
-        assert compose_wreath_inputs(unit, lifted) == lifted
-        assert compose_wreath_inputs(lifted, unit) == lifted
-
-    def test_lift_produces_one_letter_words(self):
-        f = FunctionSymbol(DOMAIN, ("a", "b"))
-        lifted, word = wreath_word_pair(f, "c")
-        assert lifted.outputs == (("a",), ("b",))
-        assert word == ("c",)
-
-    @given(wreath_words, wreath_words, wreath_words)
-    def test_composition_is_associative(self, u, v, w):
-        left = compose_wreath_inputs(compose_wreath_inputs(u, v), w)
-        right = compose_wreath_inputs(u, compose_wreath_inputs(v, w))
-        assert left == right
-
-    def test_mismatched_domains_rejected(self):
-        u = wreath_identity(("s", "t"))
-        v = wreath_identity(("s",))
-        with pytest.raises(ShapeMismatch):
-            compose_wreath_inputs(u, v)
+class TestWreathWords:
+    def test_second_choice_is_read_at_the_successor(self):
+        # Pointwise composition of wreath inputs would read both choices
+        # at s, that is (a, a), and leave the first factor in u; the
+        # wreath reads g at the second factor's successor t.
+        m1 = exact_table(("u", "v"), ("a", "b"), lambda q, x: {"a": "u", "b": "v"}[x])
+        m2 = exact_table(("s", "t"), ("x",), lambda q, x: {"s": "t", "t": "s"}[q])
+        f = g = FunctionSymbol(("s", "t"), ("a", "b"))
+        run = word_step(wreath(m1, m2), ("u", "s"), ((f, "x"), (g, "x")))
+        assert run.lower.states_set() == run.upper.states_set() == {("v", "s")}
+        pointwise = word_step(m1, "u", (f("s"), g("s")))
+        assert pointwise.upper.states_set() == {"u"}
 
 
 class TestFunctionSymbol:

@@ -559,7 +559,7 @@ class TestFormatting:
         assert word_text(("a", "b")) == "ab"
         assert word_text((("a", "b"), ("a", "b"))) == "(a,b),(a,b)"
 
-    def test_word_from_text_matches_greedily(self, five_state):
+    def test_word_from_text_reads_run_together_letters(self, five_state):
         assert word_from_text(five_state, "ab") == ("a", "b")
         assert word_from_text(five_state, "a, b") == ("a", "b")
         assert word_from_text(five_state, "") == ()
@@ -575,6 +575,23 @@ class TestFormatting:
         with pytest.raises(UnknownSymbol, match="cannot read an input symbol"):
             word_from_text(five_state, "axb")
 
+    def test_word_from_text_finds_the_only_reading(self):
+        # Longest-first matching takes ab and is then stuck at c.
+        m = exact_machine(1, ("a", "ab", "bc"))
+        assert word_from_text(m, "abc") == ("a", "bc")
+        assert word_from_text(m, "ab, abc") == ("ab", "a", "bc")
+        with pytest.raises(UnknownSymbol, match="cannot read an input symbol at 'x'"):
+            word_from_text(m, "abcx")
+
+    def test_word_from_text_rejects_two_readings(self):
+        m = exact_machine(1, ("a", "ab", "b"))
+        with pytest.raises(UnknownSymbol, match="'ab' reads two ways, as 'ab' and as 'a b'"):
+            word_from_text(m, "ab")
+        assert word_from_text(m, "a b") == ("a", "b")
+        assert word_from_text(m, "b,a") == ("b", "a")
+        with pytest.raises(UnknownSymbol, match="reads two ways"):
+            word_from_text(m, "b abab")
+
     def test_subset_from_text(self, five_state):
         assert subset_from_text(five_state.space, "q1,q3") == ("q1", "q3")
         squared = full_direct(five_state, five_state)
@@ -584,6 +601,14 @@ class TestFormatting:
         )
         with pytest.raises(UnknownState, match="cannot read a state name"):
             subset_from_text(five_state.space, "q1 zz")
+
+    def test_subset_from_text_needs_exactly_one_reading(self):
+        space = core.make_partition(["p", "pq", "qr"], [["p"], ["pq"], ["qr"]])
+        assert subset_from_text(space, "pqr") == ("p", "qr")
+        space = core.make_partition(["p", "pq", "q"], [["p", "pq", "q"]])
+        with pytest.raises(UnknownState, match="'pq' reads two ways, as 'pq' and as 'p q'"):
+            subset_from_text(space, "pq")
+        assert subset_from_text(space, "p,q") == ("p", "q")
 
 
 STATE_TABLE_CELLS = {
