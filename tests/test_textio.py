@@ -559,7 +559,9 @@ class TestFormatting:
         assert word_text(("a", "b")) == "ab"
         assert word_text((("a", "b"), ("a", "b"))) == "(a,b),(a,b)"
 
-    def test_word_from_text_reads_run_together_letters(self, five_state):
+    def test_word_from_text_matches_greedily(self, five_state):
+        # Texts whose only reading is also the longest-first one; texts
+        # where the two differ are in the tests that follow.
         assert word_from_text(five_state, "ab") == ("a", "b")
         assert word_from_text(five_state, "a, b") == ("a", "b")
         assert word_from_text(five_state, "") == ()
