@@ -289,7 +289,11 @@ def check_homomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckRes
 
 
 def check_isomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckResult:
-    """A homomorphism whose state and input maps are both bijections."""
+    """A homomorphism with bijective state and input maps whose inverse is a homomorphism too.
+
+    So each entry maps onto its target entry, not merely into it; the
+    last result is the inverse's check from m2 to m1.
+    """
     hom = check_homomorphism(m1, m2, pair)
     if not hom:
         return hom
@@ -302,7 +306,9 @@ def check_isomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckResu
         return CheckResult(False, "input map is not injective")
     if g_values != set(m2.alphabet):
         return CheckResult(False, "input map is not onto the target alphabet")
-    return CheckResult(True)
+    f, g = pair.state_map, pair.input_map
+    inverse = MorphismPair({f[q]: q for q in m1.space.states}, {g[x]: x for x in m1.alphabet})
+    return check_homomorphism(m2, m1, inverse)
 
 
 def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2) -> CheckResult:

@@ -2,18 +2,21 @@
 
 All five products share the same state side, the componentwise product
 of the two approximation spaces, and differ only in the input alphabet
-and in which entry of each factor a product letter selects:
+and in the feed: the factor inputs (x1, x2) a letter selects at the
+second factor's state q2.
 
-  full direct        letters (x1, x2), factors stepped independently
-  restricted direct  one shared alphabet, both factors read the letter
-  general direct     an external alphabet decoded through a bridge
-  wreath             letters (f, x2) where f chooses the first factor's
-                     input per second-factor state
-  cascade            the second factor's alphabet, with a wiring
-                     choosing the first factor's input from (q2, x2)
+  full direct        letters (x1, x2), fed as they are
+  restricted direct  one shared alphabet; a feeds (a, a)
+  general direct     a bridge's carrier; u feeds the bridge's pair for u
+  wreath             letters (f, x2), f choosing the first factor's input
+                     per second-factor state; feeds (f(q2), x2)
+  cascade            the second factor's alphabet; x2 feeds
+                     (wiring(q2, x2), x2)
 
-Entry values multiply componentwise: lower with lower, upper with upper.
-Letters that select equal factor-entry pairs share one immutable entry.
+One builder evaluates each feed once per (q2, letter) and is the only
+check that fed inputs are letters of the factors. Entry values multiply
+componentwise: lower with lower, upper with upper. Letters that select
+equal factor-entry pairs share one immutable entry.
 """
 
 from __future__ import annotations
@@ -129,13 +132,23 @@ def all_function_symbols(values: Sequence, domain: Sequence) -> list[FunctionSym
     return [FunctionSymbol(domain, outputs) for outputs in iter_product(values, repeat=len(domain))]
 
 
-def _build(m1: Machine, m2: Machine, alphabet, inputs: Mapping, name: str) -> Machine:
-    """The product over `alphabet` whose letter a feeds the factors inputs[q2, a] = (x1, x2) at q2.
+def _build(m1: Machine, m2: Machine, alphabet, feed, name: str) -> Machine:
+    """The product over `alphabet` whose letter a feeds the factors feed(q2, a) = (x1, x2) at q2.
 
+    Raises UnknownSymbol for a fed input outside its factor's alphabet.
     Equal (q1, q2, x1, x2) share one entry, and equal pairs of factor block sets one side.
     """
     space = product_partition(m1.space, m2.space)
     n2 = m2.space.n_blocks
+    symbols1, symbols2 = m1._symbol_index, m2._symbol_index
+    fed = {}
+    for q2 in m2.space.states:
+        for a in alphabet:
+            x1, x2 = fed[q2, a] = feed(q2, a)
+            if x1 not in symbols1 or x2 not in symbols2:
+                which, x = ("first", x1) if x1 not in symbols1 else ("second", x2)
+                where = f"letter {value_name(a)} at {value_name(q2)}"
+                raise UnknownSymbol(f"{where} feeds unknown {which} input {value_name(x)}")
 
     @cache
     def side(ids1: frozenset, ids2: frozenset) -> DefinableSet:  # block (i, j) sits at i * n2 + j
@@ -147,37 +160,28 @@ def _build(m1: Machine, m2: Machine, alphabet, inputs: Mapping, name: str) -> Ma
         return RoughSet(side(r1.lower.block_ids, r2.lower.block_ids), side(r1.upper.block_ids, r2.upper.block_ids))
 
     # The product space's states are the pairs (q1, q2); keying by them shares one tuple per state.
-    table = {(q, a): entry(*q, *inputs[q[1], a]) for q in space.states for a in alphabet}
+    table = {(q, a): entry(*q, *fed[q[1], a]) for q in space.states for a in alphabet}
     return make_machine(space, tuple(alphabet), table, name)
 
 
 def full_direct(m1: Machine, m2: Machine) -> Machine:
     """Both factors run side by side; letters are input pairs (x1, x2)."""
     alphabet = tuple((x1, x2) for x1 in m1.alphabet for x2 in m2.alphabet)
-    inputs = {(q2, a): a for q2 in m2.space.states for a in alphabet}
-    return _build(m1, m2, alphabet, inputs, f"full({m1.name},{m2.name})")
+    return _build(m1, m2, alphabet, lambda q2, a: a, f"full({m1.name},{m2.name})")
 
 
 def restricted_direct(m1: Machine, m2: Machine) -> Machine:
     """Both factors read the same letter; the alphabets must agree."""
     if m1.alphabet != m2.alphabet:
         raise AlphabetMismatch("restricted product needs one shared alphabet")
-    inputs = {(q2, a): (a, a) for q2 in m2.space.states for a in m1.alphabet}
-    return _build(m1, m2, m1.alphabet, inputs, f"restricted({m1.name},{m2.name})")
+    return _build(m1, m2, m1.alphabet, lambda q2, a: (a, a), f"restricted({m1.name},{m2.name})")
 
 
 def general_direct(m1: Machine, m2: Machine, bridge: InputBridge) -> Machine:
     """An external alphabet drives both factors through the bridge's decoding."""
     if len(set(bridge.carrier)) != len(bridge.carrier):
         raise BridgeTotalityError("bridge carrier lists a symbol twice")
-    for u in bridge.carrier:
-        x1, x2 = bridge.pair_for(u)
-        if x1 not in m1.alphabet:
-            raise UnknownSymbol(f"bridge sends {value_name(u)} to unknown first input {value_name(x1)}")
-        if x2 not in m2.alphabet:
-            raise UnknownSymbol(f"bridge sends {value_name(u)} to unknown second input {value_name(x2)}")
-    inputs = {(q2, u): bridge.pair_for(u) for q2 in m2.space.states for u in bridge.carrier}
-    return _build(m1, m2, tuple(bridge.carrier), inputs, f"general({m1.name},{m2.name})")
+    return _build(m1, m2, bridge.carrier, lambda q2, u: bridge.pair_for(u), f"general({m1.name},{m2.name})")
 
 
 def wreath(m1: Machine, m2: Machine, budget: int = WREATH_BUDGET) -> Machine:
@@ -194,23 +198,12 @@ def wreath(m1: Machine, m2: Machine, budget: int = WREATH_BUDGET) -> Machine:
         for f in all_function_symbols(m1.alphabet, m2.space.states)
         for x2 in m2.alphabet
     )
-    inputs = {(q2, (f, x2)): (f(q2), x2) for q2 in m2.space.states for f, x2 in alphabet}
-    return _build(m1, m2, alphabet, inputs, f"wreath({m1.name},{m2.name})")
+    return _build(m1, m2, alphabet, lambda q2, a: (a[0](q2), a[1]), f"wreath({m1.name},{m2.name})")
 
 
 def cascade(m1: Machine, m2: Machine, wiring: CascadeWiring) -> Machine:
     """m2 reads the letter and the wiring turns (q2, letter) into m1's input."""
-    inputs = {}
-    for q2 in m2.space.states:
-        for x2 in m2.alphabet:
-            x1 = wiring.feed(q2, x2)
-            if x1 not in m1.alphabet:
-                raise UnknownSymbol(
-                    f"wiring feeds unknown input {value_name(x1)} at "
-                    f"({value_name(q2)}, {value_name(x2)})"
-                )
-            inputs[q2, x2] = (x1, x2)
-    return _build(m1, m2, m2.alphabet, inputs, f"cascade({m1.name},{m2.name})")
+    return _build(m1, m2, m2.alphabet, lambda q2, x2: (wiring.feed(q2, x2), x2), f"cascade({m1.name},{m2.name})")
 
 
 def diagonal_bridge(alphabet: Sequence) -> InputBridge:

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .core import value_name
-from .errors import AlphabetMismatch, PreconditionFailed
+from .errors import PreconditionFailed
 from .machine import Machine
 from .morphism import (
     CheckResult,
@@ -105,8 +105,6 @@ def witness_restricted_in_full(m1: Machine, m2: Machine, depth: int = 2) -> Witn
     (x, x). The two tables agree entry for entry along the translation,
     so the covering check is expected to pass at any depth.
     """
-    if m1.alphabet != m2.alphabet:
-        raise AlphabetMismatch("restricted product needs one shared alphabet")
     narrow = restricted_direct(m1, m2)
     wide = full_direct(m1, m2)
     pair = CoveringPair(
@@ -252,16 +250,17 @@ def lift_covering(
     must cover on letters (PreconditionFailed otherwise), and the lifted
     pair is checked on letters too, at depth 1.
 
-    Kind specifics: restricted needs all three alphabets equal, and the
-    lifted pair keeps xi as its translation; since the unchanged factor
-    reads the shared alphabet directly, a xi that permutes it can make
-    the lifted check fail even though the input pair covers. Cascade
-    needs `wiring` for the covered product; the covering product's
-    wiring is synthesized, on the left by translating the wiring's
-    outputs through xi, on the right by reading the wiring at eta of the
-    state and the first xi-preimage of the letter (letters outside the
-    image fall back to m3's first symbol, and a non-injective xi can
-    make this synthesis miss, which the check then reports).
+    Kind specifics: restricted needs all three alphabets equal (its
+    products raise AlphabetMismatch otherwise), and the lifted pair
+    keeps xi as its translation; since the unchanged factor reads the
+    shared alphabet directly, a xi that permutes it can make the lifted
+    check fail even though the input pair covers. Cascade needs
+    `wiring` for the covered product; the covering product's wiring is
+    synthesized, on the left by translating the wiring's outputs
+    through xi, on the right by reading the wiring at eta of the state
+    and the first xi-preimage of the letter (letters outside the image
+    fall back to m3's first symbol, and a non-injective xi can make
+    this synthesis miss, which the check then reports).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, not {side!r}")
@@ -279,8 +278,6 @@ def lift_covering(
             covered, cover = full_direct(m3, m1), full_direct(m3, m2)
             xi2 = {(x3, x1): (x3, xi[x1]) for (x3, x1) in covered.alphabet}
     elif kind == "restricted":
-        if not (m1.alphabet == m2.alphabet == m3.alphabet):
-            raise AlphabetMismatch("restricted lift needs one alphabet across all three machines")
         if side == "left":
             covered, cover = restricted_direct(m1, m3), restricted_direct(m2, m3)
         else:

@@ -65,6 +65,7 @@ __all__ = [
 
 EMPTY_SET_MARK = "φ"  # phi
 UNION_MARK = "∪"
+_UNREADABLE = re.compile(r"[\s{}#]")  # what splits or cuts a name token on reading
 
 
 def _rows(text: str, maxsplit: int = -1):
@@ -233,11 +234,14 @@ def serialize_machine(machine: Machine) -> str:
     rendered to their printed names, so the parsed-back machine has
     plain string names but compares equal to the original. Raises
     NameCollision when two states or two symbols print to the same name,
-    since the document could not be parsed back.
+    or when the machine name, a state or a symbol prints empty or with
+    whitespace, a brace or '#', since the document could not be parsed
+    back.
     """
     names, blocks, symbols = machine.printed_names()
-    _require_distinct("states", machine.space.states, names)
-    _require_distinct("input symbols", machine.alphabet, symbols)
+    _require_distinct("machine", (machine.name,), (machine.name,))
+    _require_distinct("state", machine.space.states, names)
+    _require_distinct("input symbol", machine.alphabet, symbols)
     lines = [f"machine {machine.name}", "states " + " ".join(names)]
     lines += ("block " + " ".join(cell) for cell in blocks)
     lines.append("inputs " + " ".join(symbols))
@@ -247,10 +251,13 @@ def serialize_machine(machine: Machine) -> str:
 
 
 def _require_distinct(what: str, values, names):
+    """Raise NameCollision unless the printed `names` are distinct tokens the reader takes back."""
     first = {}
     for value, name in zip(values, names):
+        if not name or _UNREADABLE.search(name):
+            raise NameCollision(f"{what} {value!r} prints as {name!r}, which is not a single name token")
         if first.setdefault(name, value) != value:
-            raise NameCollision(f"{what} {first[name]!r} and {value!r} both print as {name}")
+            raise NameCollision(f"{what}s {first[name]!r} and {value!r} both print as {name}")
 
 
 def _sets_text(r: RoughSet) -> str:

@@ -116,6 +116,14 @@ class TestValidate:
         assert code == 1
         assert "violation: missing table entry" in out
 
+    def test_duplicate_transition_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "twice.machine"
+        trans = "trans q1 a lower { q1 } upper { q1 }\n"
+        path.write_text("machine m\nstates q1\nblock q1\ninputs a\n" + trans + trans)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert out == "violation: duplicate transition for (q1, a) on line 6 (first on line 5)\n"
+
     def test_syntax_problems_exit_two(self, capsys, tmp_path):
         path = tmp_path / "broken.machine"
         path.write_text("machine\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughfsm import (
+    ApproximationSpace,
     DefinableSet,
     RoughSet,
     approximate,
@@ -71,6 +72,10 @@ class TestMakePartition:
     def test_undeclared_member_rejected(self):
         with pytest.raises(NonPartition):
             make_partition(["q1"], [["q1", "q9"]])
+
+    def test_space_built_directly_refuses_a_member_that_is_no_state(self):
+        with pytest.raises(NonPartition, match="block member q9 is not a state"):
+            ApproximationSpace(("q1",), (("q1", "q9"),))
 
     def test_repeated_member_in_cell_rejected(self):
         with pytest.raises(NonPartition):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from roughfsm import (
+    ApproximationSpace,
     DefinableSet,
     Machine,
     RoughSet,
@@ -378,6 +379,10 @@ class TestValidateMachine:
         assert any("no input symbols" in r for r in reasons)
         m2 = Machine(five_state.space, ("a", "a"), five_state.table)
         assert any("twice" in v.reason for v in validate_machine(m2))
+
+    def test_machine_without_states_reported(self):
+        m = Machine(ApproximationSpace((), ()), ("a",), {})
+        assert [v.reason for v in validate_machine(m)] == ["machine has no states"]
 
     def test_make_machine_raises_with_violations(self, five_state):
         with pytest.raises(SemanticError) as err:

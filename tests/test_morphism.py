@@ -9,6 +9,7 @@ from roughfsm import (
     CoveringPair,
     MorphismPair,
     RoughSet,
+    approximate,
     check_covering,
     check_homomorphism,
     check_isomorphism,
@@ -102,6 +103,49 @@ class TestHomomorphism:
             g = {x: rng.choice(m2.alphabet) for x in m1.alphabet}
             pair = MorphismPair(f, g)
             assert check_homomorphism(m1, m2, pair).holds == oracles.brute_homomorphic(m1, m2, f, g, 4)
+
+
+def singleton_machine(targets):
+    """One letter a over singleton blocks; `targets` maps each state to its entry's states."""
+    states = list(targets)
+    space = make_partition(states, [[q] for q in states])
+    return make_machine(space, ("a",), {(q, "a"): approximate(space, targets[q]) for q in states})
+
+
+class TestIsomorphism:
+    def test_inverse_must_be_a_homomorphism_too(self):
+        # q1 -> p1 maps {q1} into p1's entry {p1, p2} but not onto it: the
+        # pair is a bijective homomorphism, and its inverse fails at (p1, a).
+        m1 = singleton_machine({"q1": ["q1"], "q2": ["q2"]})
+        m2 = singleton_machine({"p1": ["p1", "p2"], "p2": ["p2"]})
+        pair = MorphismPair({"q1": "p1", "q2": "p2"}, {"a": "a"})
+        assert check_homomorphism(m1, m2, pair)
+        result = check_isomorphism(m1, m2, pair)
+        assert not result
+        assert result.counterexample == ("p1", "a")
+
+    def test_failing_homomorphism_is_returned_as_is(self, relabel_trio):
+        m1, m2, pair = relabel_trio
+        swapped = MorphismPair(pair.state_map, {"a": "d", "b": "c"})
+        assert check_isomorphism(m1, m2, swapped) == check_homomorphism(m1, m2, swapped)
+
+    def test_state_map_not_onto(self):
+        pair = MorphismPair({"s1": "s1"}, {"a": "a"})
+        result = check_isomorphism(exact_machine(1, ("a",)), exact_machine(2, ("a",)), pair)
+        assert not result
+        assert result.reason == "state map is not onto the target states"
+
+    def test_input_map_not_injective(self):
+        m = exact_machine(1, ("a", "b"))
+        result = check_isomorphism(m, m, MorphismPair({"s1": "s1"}, {"a": "a", "b": "a"}))
+        assert not result
+        assert result.reason == "input map is not injective"
+
+    def test_input_map_not_onto(self):
+        pair = MorphismPair({"s1": "s1"}, {"a": "a"})
+        result = check_isomorphism(exact_machine(1, ("a",)), exact_machine(1, ("a", "b")), pair)
+        assert not result
+        assert result.reason == "input map is not onto the target alphabet"
 
 
 class TestCovering:

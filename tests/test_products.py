@@ -133,7 +133,12 @@ class TestGeneralDirect:
 
     def test_unknown_decode_target_rejected(self, five_state):
         bad = InputBridge(("u",), {"u": ("a", "zz")})
-        with pytest.raises(UnknownSymbol):
+        with pytest.raises(UnknownSymbol, match="^letter u at q1 feeds unknown second input zz$"):
+            general_direct(five_state, five_state, bad)
+
+    def test_unknown_first_decode_target_rejected(self, five_state):
+        bad = InputBridge(("u",), {"u": ("zz", "a")})
+        with pytest.raises(UnknownSymbol, match="^letter u at q1 feeds unknown first input zz$"):
             general_direct(five_state, five_state, bad)
 
     def test_partial_bridge_rejected(self):
@@ -244,7 +249,8 @@ class TestCascade:
         wiring = CascadeWiring(
             {(q2, x): "zz" for q2 in five_state.space.states for x in five_state.alphabet}
         )
-        with pytest.raises(UnknownSymbol):
+        # The second input is the letter itself, so only the first can be unknown.
+        with pytest.raises(UnknownSymbol, match="^letter a at q1 feeds unknown first input zz$"):
             cascade(five_state, five_state, wiring)
 
 

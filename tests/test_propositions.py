@@ -8,6 +8,7 @@ from roughfsm import (
     CascadeWiring,
     CoveringPair,
     assoc_isomorphism,
+    cascade,
     lift_covering,
     run_claim_trials,
     witness_cascade_in_wreath,
@@ -190,6 +191,16 @@ class TestLiftCovering:
                 five_state,
                 five_state,
             )
+
+    def test_cascade_right_lift_falls_back_outside_the_translation_image(self, five_state):
+        # m2's letter b is no xi-image, so the synthesized wiring feeds m3's first letter there.
+        m1, m2 = exact_machine(1, ("a",)), exact_machine(1, ("a", "b"))
+        pair = CoveringPair({"s1": "s1"}, {"a": "a"})
+        wiring = CascadeWiring({("s1", "a"): "b"})
+        report = lift_covering("cascade", pair, m1, m2, five_state, side="right", wiring=wiring)
+        assert report
+        assert report.detail == "cascade/right"
+        assert report.witness == cascade(five_state, m2, CascadeWiring({("s1", "a"): "b", ("s1", "b"): "a"}))
 
     def test_restricted_lift_needs_one_alphabet(self, five_state):
         with pytest.raises(AlphabetMismatch):

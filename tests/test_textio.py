@@ -178,6 +178,7 @@ class TestSyntaxErrors:
             ("machine m\nstates q1\nblock  q1 {\n", "invalid state name '{'", 3, 11),
             ("machine m\ninputs a b{ c\n", "invalid input name 'b{'", 2, 10),
             ("machine m\nstates q1\n states\n", "second states line", 3, 2),
+            ("machine m\ninputs a\ninputs b\n", "second inputs line", 3, 1),
             ("machine m\nstates q1\nblock q1\ninputs a\n trans q1\n", "incomplete transition", 5, 2),
         ],
     )
@@ -298,6 +299,18 @@ class TestRoundTrip:
         table = {("q", x): core.approximate(space, ["q"]) for x in alphabet}
         m = machine_module.make_machine(space, alphabet, table, "symbols")
         with pytest.raises(NameCollision, match="input symbols"):
+            serialize_machine(m)
+
+    @pytest.mark.parametrize("kind", ["machine", "state", "input symbol"])
+    @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a\nb", "a{b", "a}b", "q#1"])
+    def test_names_the_reader_cannot_take_back_are_refused(self, kind, bad):
+        # "a b" would read as two states and "q#1" lose its tail to the comment cut.
+        names = {"state": "q", "input symbol": "a", "machine": "m", kind: bad}
+        state, symbol = names["state"], names["input symbol"]
+        space = core.make_partition([state], [[state]])
+        table = {(state, symbol): core.approximate(space, [state])}
+        m = machine_module.make_machine(space, (symbol,), table, names["machine"])
+        with pytest.raises(NameCollision, match=f"^{kind} {re.escape(repr(bad))} prints as"):
             serialize_machine(m)
 
     def test_equal_entries_parse_to_one_shared_rough_set(self):
