@@ -3,8 +3,9 @@
 Nothing here is taken on faith: every claim is turned into explicit
 maps and handed to the checkers, and one hand-built pair shows why the
 covering check has a depth parameter at all: letters alone can pass
-where a two-letter word fails. Two-letter words decide every longer
-word, so depth 20 agrees with depth 2.
+where a two-letter word fails, though only from a state whose block
+eta does not map onto a block. Two-letter words decide every longer
+word, so depth 20 agrees with depth 2, the default.
 """
 
 from roughfsm import (
@@ -32,15 +33,17 @@ def main() -> None:
     # enumerates all map pairs, so small machines only.
     m5 = five_state_machine()
     one = exact_machine(1, ("x",))
-    found = search_coverings(one, m5, depth=1)
+    found = search_coverings(one, m5)
     print(f"coverings of the one-state machine by {m5.name}: {len(found)}")
     for p in found:
         print("  input translation:", p.input_map, "(only the b column keeps lowers nonempty)")
     print()
 
-    # Letter-level agreement does not imply word-level agreement. Here
-    # every single-letter check passes, but the two-letter run from s
-    # unions over the whole block {u,v} on the covered side and dies.
+    # Letter-level agreement does not imply word-level agreement. This
+    # coarse-over-fine pair is one whose starts are not covered: eta
+    # maps the blocks {s} and {t} to halves of {u,v}, not onto it. Every
+    # single-letter check passes, but the two-letter run from s unions
+    # over the whole block {u,v} on the covered side and dies.
     s1 = make_partition(["u", "v"], [["u", "v"]])
     blocky = make_machine(
         s1,

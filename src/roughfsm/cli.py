@@ -54,6 +54,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: {e}")
 
 
 def _load_machine(path: str):
@@ -133,8 +135,11 @@ def cmd_product(args) -> int:
         result = cascade(m1, m2, CascadeWiring(omega))
     text = serialize_machine(result)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseError(f"cannot write {args.output}: {e.strerror or e}")
     else:
         sys.stdout.write(text)
     return 0
@@ -230,14 +235,18 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("first")
     q.add_argument("second")
     q.add_argument("--map", required=True, help="map file: state lines read FROM the covering machine")
-    depth_help = "below 2 checks letters only; 2 or more also checks every word"
+    depth_help = (
+        "below 2 checks letters only; 2 or more, the default, decides every word: words run only"
+        " from states whose block is not inside the eta-image of their own, so when eta maps each"
+        " block onto a block the letters decide"
+    )
     q.add_argument("--depth", type=int, default=argparse.SUPPRESS, help=depth_help)
     q.set_defaults(func=cmd_check, check=check_covering, pair=CoveringPair)
 
     q = sub.add_parser("search-cover", help="enumerate all covering map pairs")
     q.add_argument("first")
     q.add_argument("second")
-    q.add_argument("--depth", type=int, default=argparse.SUPPRESS)
+    q.add_argument("--depth", type=int, default=argparse.SUPPRESS, help=depth_help)
     q.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="candidate map pair cap")
     q.set_defaults(func=cmd_search_cover)
 

@@ -29,9 +29,13 @@ set is eta(q') for some q' of m2's current set, and the letter
 condition puts p's entry on x inside the eta-image of q''s entry on
 xi(x), a part of m2's next set. So every extension of a contained word
 stays contained, and a failing word of length 3 or more has a failing
-prefix of length 2. The two-letter pass costs |Q2| * |X1|^2 word runs;
-above 1,000,000 it raises BudgetExceeded before it starts, which the
-command line reports with exit code 2.
+prefix of length 2. The same induction starts at the empty word: a
+start whose block [eta(q)] already lies inside the eta-image of [q]
+needs no words at all, so the pass steps only the other starts, and
+when eta maps each block onto a block the letters decide every word.
+The two-letter pass may cost |Q2| * |X1|^2 word runs; above 1,000,000
+it raises BudgetExceeded before it starts, which the command line
+reports with exit code 2.
 
 Both checks share one walker and one containment test: each block
 becomes an int with one bit per state of the side receiving the state
@@ -231,15 +235,18 @@ def _walk(m1: Machine, m2: Machine, pairs, input_map, masks, reason: str, depth:
 
 
 def _words(steps1, steps2, pairs, input_map, masks, reason: str) -> CheckResult:
-    """Check the runs of every two-letter word along `pairs`.
+    """Check the runs of every two-letter word along `pairs`, whose letters have passed.
 
     Raises BudgetExceeded above _BUDGET word runs, |pairs| * |X1|^2,
-    before anything runs. A run's configuration, the lower and upper
-    block ids of both runs, steps from the distinct start blocks by a
-    letter, each machine's half through its memoized `machine._step` in
-    `steps1` or `steps2`, and each distinct configuration is checked
-    once. Runs go in (word in alphabet order, state order), so the first
-    failure is the one a word-by-word enumeration meets first.
+    before anything runs. A start whose side-1 block lies inside the
+    image of its side-2 block stays inside on every word (see the module
+    docstring), so only the other starts run. A run's configuration, the
+    lower and upper block ids of both runs, steps from the distinct start
+    blocks by a letter, each machine's half through its memoized
+    `machine._step` in `steps1` or `steps2`, and each distinct
+    configuration is checked once. Runs go in (word in alphabet order,
+    state order), so the first failure is the one a word-by-word
+    enumeration meets first.
     """
     alphabet = steps1.machine.alphabet
     size = len(pairs) * len(alphabet) ** 2
@@ -251,10 +258,15 @@ def _words(steps1, steps2, pairs, input_map, masks, reason: str) -> CheckResult:
         return steps1[low1, up1, x] + steps2[low2, up2, input_map[x]]
 
     starts = {}
+    masks1, masks2 = masks
     id1, id2 = steps1.machine.space._block_id, steps2.machine.space._block_id
     for q, q1, q2 in pairs:
-        b1, b2 = frozenset((id1[q1],)), frozenset((id2[q2],))
-        starts.setdefault((b1, b1, b2, b2), q)
+        i, j = id1[q1], id2[q2]
+        if masks1[i] & ~masks2[j]:
+            b1, b2 = frozenset((i,)), frozenset((j,))
+            starts.setdefault((b1, b1, b2, b2), q)
+    if not starts:
+        return CheckResult(True)
     checked = set()
     for x in alphabet:
         for y in alphabet:
@@ -317,11 +329,12 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     eta must be total on m2's states and onto m1's (NotOnto otherwise);
     xi must be total on m1's alphabet into m2's; depth must not be
     negative (BadDepth). Single symbols compare table entries; at depth
-    2 or more two-letter words compare word runs, with xi applied symbol
-    by symbol, which decides every word (see the module docstring), so
-    a larger depth gives the same result. The empty word is deliberately
-    out of scope; it would assert a block-surjectivity property that
-    coverings do not promise.
+    2 or more, the default, two-letter words compare word runs from the
+    starts whose block escapes the eta-image of their covering block,
+    with xi applied symbol by symbol, which decides every word (see the
+    module docstring), so a larger depth gives the same result. The
+    empty word is deliberately out of scope; it would assert a
+    block-surjectivity property that coverings do not promise.
     """
     _require_depth(depth)
     eta = pair.state_map
@@ -362,7 +375,7 @@ def _strike(cands, checks, image, rows1, eta):
     return cands
 
 
-def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BUDGET) -> list[CoveringPair]:
+def search_coverings(m1: Machine, m2: Machine, depth: int = 2, budget: int = _BUDGET) -> list[CoveringPair]:
     """Every (eta, xi) under which m2 covers m1, in enumeration order.
 
     Candidate state maps run lexicographically over m1's states per m2
@@ -390,8 +403,9 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 1, budget: int = _BU
 
     A complete map has passed block respect and every letter, and its
     input maps are the product of the surviving candidate lists, in
-    alphabet order. At depth 2 or more only those go on to the
-    two-letter words, which decide every word.
+    alphabet order. At depth 2 or more, the default, only those go on to
+    the two-letter words, which decide every word; when eta maps each
+    block onto a block, no word runs (see the module docstring).
     """
     _require_depth(depth)
     n_states = len(m1.space.states) ** len(m2.space.states)

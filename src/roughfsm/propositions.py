@@ -18,10 +18,9 @@ The claims, by their short names used throughout:
   lift                 a covering of m1 by m2 survives taking products
                        with a third machine on either side
 
-Coverings are checked on every word for restricted-in-full and
-cascade-in-wreath (depth 2, which decides every word; see the morphism
-module docstring), on letters for wreath-exchange and lift. Wreaths take
-wreath()'s default budget, which no seeded trial reaches (1,024 letters at most).
+Every covering is checked on every word (depth 2, which decides every
+word; see the morphism module docstring). Wreaths take wreath()'s
+default budget, which no seeded trial reaches (1,024 letters at most).
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def witness_restricted_in_full(m1: Machine, m2: Machine, depth: int = 2) -> Witn
 
 
 def witness_wreath_exchange(
-    m1: Machine, m2: Machine, m3: Machine, m4: Machine, depth: int = 1
+    m1: Machine, m2: Machine, m3: Machine, m4: Machine, depth: int = 2
 ) -> WitnessReport:
     """(m1 wr m2) x (m3 wr m4) is covered by (m1 x m3) wr (m2 x m4).
 
@@ -227,13 +226,6 @@ def assoc_isomorphism(
     return WitnessReport("associativity", left, right, pair, result, detail=kind)
 
 
-def _first_preimage(xi: dict, alphabet, y):
-    for x in alphabet:
-        if xi[x] == y:
-            return x
-    return None
-
-
 def lift_covering(
     kind: str,
     pair: CoveringPair,
@@ -247,8 +239,8 @@ def lift_covering(
 
     side="left" varies the covered factor in first position (m1 # m3
     within m2 # m3), side="right" in second position. The input pair
-    must cover on letters (PreconditionFailed otherwise), and the lifted
-    pair is checked on letters too, at depth 1.
+    must cover (PreconditionFailed otherwise), and both it and the
+    lifted pair are checked on every word.
 
     Kind specifics: restricted needs all three alphabets equal (its
     products raise AlphabetMismatch otherwise), and the lifted pair
@@ -264,77 +256,55 @@ def lift_covering(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, not {side!r}")
-    base = check_covering(m1, m2, pair, depth=1)
+    base = check_covering(m1, m2, pair)
     if not base:
-        raise PreconditionFailed(f"the given pair does not cover at depth 1: {base}")
-
+        raise PreconditionFailed(f"the given pair does not cover: {base}")
     eta, xi = pair.state_map, pair.input_map
+    left = side == "left"
 
-    if kind == "full":
-        if side == "left":
-            covered, cover = full_direct(m1, m3), full_direct(m2, m3)
-            xi2 = {(x1, x3): (xi[x1], x3) for (x1, x3) in covered.alphabet}
-        else:
-            covered, cover = full_direct(m3, m1), full_direct(m3, m2)
-            xi2 = {(x3, x1): (x3, xi[x1]) for (x3, x1) in covered.alphabet}
-    elif kind == "restricted":
-        if side == "left":
-            covered, cover = restricted_direct(m1, m3), restricted_direct(m2, m3)
-        else:
-            covered, cover = restricted_direct(m3, m1), restricted_direct(m3, m2)
-        xi2 = dict(xi)
-    elif kind == "wreath":
-        if side == "left":
-            covered, cover = wreath(m1, m3), wreath(m2, m3)
-            xi2 = {}
-            for f, x3 in covered.alphabet:
-                translated = FunctionSymbol(
-                    m3.space.states, tuple(xi[f(q3)] for q3 in m3.space.states)
-                )
-                xi2[(f, x3)] = (translated, x3)
-        else:
-            covered, cover = wreath(m3, m1), wreath(m3, m2)
-            xi2 = {}
-            for f, x1 in covered.alphabet:
-                composed = FunctionSymbol(
-                    m2.space.states, tuple(f(eta[q2]) for q2 in m2.space.states)
-                )
-                xi2[(f, x1)] = (composed, xi[x1])
-    elif kind == "cascade":
+    def order(varied, kept):  # the factors in product order; applied twice, the identity
+        return (varied, kept) if left else (kept, varied)
+
+    def lift(mapping, pairs):  # each pair with its varied factor sent through mapping
+        return {p: order(mapping[v], k) for p in pairs for v, k in [order(*p)]}
+
+    states2 = m2.space.states
+    if kind == "cascade":
         if wiring is None:
             raise ValueError("cascade lift needs the covered product's wiring")
-        if side == "left":
-            covered = cascade(m1, m3, wiring)
-            translated = CascadeWiring(
-                {
-                    (q3, x3): xi[wiring.feed(q3, x3)]
-                    for q3 in m3.space.states
-                    for x3 in m3.alphabet
-                }
-            )
-            cover = cascade(m2, m3, translated)
-            xi2 = {x3: x3 for x3 in m3.alphabet}
+        covered = cascade(*order(m1, m3), wiring)
+        if left:
+            omega = {(q3, x3): xi[wiring.feed(q3, x3)] for q3 in m3.space.states for x3 in m3.alphabet}
         else:
-            covered = cascade(m3, m1, wiring)
-            fallback = m3.alphabet[0]
-            synthesized = {}
-            for q2 in m2.space.states:
+            omega = {}
+            for q2 in states2:
                 for y in m2.alphabet:
-                    x1 = _first_preimage(xi, m1.alphabet, y)
-                    synthesized[(q2, y)] = (
-                        wiring.feed(eta[q2], x1) if x1 is not None else fallback
-                    )
-            cover = cascade(m3, m2, CascadeWiring(synthesized))
+                    x1 = next((x for x in m1.alphabet if xi[x] == y), None)
+                    omega[(q2, y)] = wiring.feed(eta[q2], x1) if x1 is not None else m3.alphabet[0]
+        cover = cascade(*order(m2, m3), CascadeWiring(omega))
+        xi2 = {x3: x3 for x3 in m3.alphabet} if left else dict(xi)
+    else:
+        build = {"full": full_direct, "restricted": restricted_direct, "wreath": wreath}.get(kind)
+        if build is None:
+            raise ValueError(f"unknown product kind {kind!r}")
+        covered, cover = build(*order(m1, m3)), build(*order(m2, m3))
+        if kind == "full":
+            xi2 = lift(xi, covered.alphabet)
+        elif kind == "restricted":
             xi2 = dict(xi)
-    else:
-        raise ValueError(f"unknown product kind {kind!r}")
+        elif left:  # f picks m1's input per m3 state: translate its outputs
+            xi2 = {
+                (f, x3): (FunctionSymbol(f.domain, tuple(xi[x] for x in f.outputs)), x3)
+                for f, x3 in covered.alphabet
+            }
+        else:  # f picks m3's input per m1 state: read it at eta of each m2 state
+            xi2 = {
+                (f, x1): (FunctionSymbol(states2, tuple(f(eta[q2]) for q2 in states2)), xi[x1])
+                for f, x1 in covered.alphabet
+            }
 
-    if side == "left":
-        eta2 = {(q2, q3): (eta[q2], q3) for (q2, q3) in cover.space.states}
-    else:
-        eta2 = {(q3, q2): (q3, eta[q2]) for (q3, q2) in cover.space.states}
-    lifted = CoveringPair(eta2, xi2)
-    result = check_covering(covered, cover, lifted, depth=1)
+    lifted = CoveringPair(lift(eta, cover.space.states), xi2)
+    result = check_covering(covered, cover, lifted)
     return WitnessReport("lift", covered, cover, lifted, result, detail=f"{kind}/{side}")
 
 

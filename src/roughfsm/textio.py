@@ -13,8 +13,9 @@ A machine document looks like:
     ...
 
 Names are single tokens without whitespace, braces or '#'. The machine
-line comes first; states, block and inputs lines may follow in any
-order, transitions last of all their dependencies. The serializer
+line comes first; states, block, inputs and trans lines may follow in
+any order, since transitions are resolved once the whole document is
+read. The serializer
 always writes the canonical order shown above, with blocks in block-id
 order and transitions sorted by state then symbol, so serialized
 documents diff cleanly and parse back to an equal machine.

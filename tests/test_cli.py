@@ -220,6 +220,13 @@ class TestProduct:
         assert out == ""
         assert parse_machine(target.read_text()) == restricted_direct(five_state, five_state)
 
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, m5_path):
+        target = tmp_path / "missing" / "dir" / "out.machine"
+        code, out, err = run_cli(capsys, "product", m5_path, m5_path, "--kind", "full", "-o", str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert out == ""
+
     def test_general_needs_a_bridge(self, capsys, m5_path):
         code, out, err = run_cli(capsys, "product", m5_path, m5_path, "--kind", "general")
         assert code == 2
@@ -418,12 +425,15 @@ class TestSearchCover:
         assert "candidates" in err
 
     def test_defaults_match_the_library(self, capsys, one_state_path, m5_path, letters_only_paths):
+        # The default checks every word, so the pair that covers on letters only is not found.
+        codes = []
         for first, second in [(one_state_path, m5_path), letters_only_paths[:2]]:
             unset = run_cli(capsys, "search-cover", first, second)
-            assert unset[0] == 0
+            codes.append(unset[0])
             assert unset == run_cli(
-                capsys, "search-cover", first, second, "--depth", "1", "--budget", "1000000"
+                capsys, "search-cover", first, second, "--depth", "2", "--budget", "1000000"
             )
+        assert codes == [0, 1]
 
 
 class TestVerify:
@@ -534,6 +544,45 @@ class TestParserReuse:
             check=True,
         )
         assert done.stdout == "0\n"
+
+
+# Each command that reads files, with BAD where one of its paths goes.
+READING_COMMANDS = {
+    "validate": ["validate", "BAD"],
+    "run": ["run", "BAD", "--state", "q1"],
+    "blocks": ["blocks", "BAD"],
+    "approx": ["approx", "BAD", "--set", "q1"],
+    "render": ["render", "BAD", "--table", "state"],
+    "product": ["product", "BAD", "M5", "--kind", "full"],
+    "product-bridge": ["product", "M5", "M5", "--kind", "general", "--bridge", "BAD"],
+    "product-omega": ["product", "M5", "M5", "--kind", "cascade", "--omega", "BAD"],
+    "check-hom": ["check-hom", "M5", "BAD", "--map", "M5"],
+    "check-cover-map": ["check-cover", "M5", "M5", "--map", "BAD"],
+    "search-cover": ["search-cover", "M5", "BAD"],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("argv", READING_COMMANDS.values(), ids=READING_COMMANDS.keys())
+def test_unreadable_inputs_exit_two_without_a_traceback(tmp_path, fixtures_dir, argv, bad):
+    # A fresh process, where an exception escaping main would print a traceback and exit 1.
+    path = tmp_path / bad
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "not-utf8":
+        path.write_bytes(b"machine m\xff\n")
+    names = {"BAD": str(path), "M5": str(fixtures_dir / "five_state.machine")}
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "roughfsm.cli", *(names.get(a, a) for a in argv)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in done.stderr
 
 
 class TestTopLevel:

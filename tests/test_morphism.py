@@ -24,6 +24,7 @@ from roughfsm.machine import block_step
 from roughfsm.errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
 from roughfsm.generate import exact_machine, random_machine, random_partition
 from roughfsm.morphism import CheckResult
+from roughfsm.propositions import witness_wreath_exchange
 
 import oracles
 
@@ -348,6 +349,11 @@ def coarse_over_fine(rng, n_states, letters, extra=0.0, min_block_size=2):
     return coarse_machine, make_machine(fine, letters, fine_table, "fine"), identity
 
 
+def whole_blocks(coarse, fine):
+    """Per block of `fine`, whether it is a whole block of `coarse`: one that starts inside the image."""
+    return [len(cell) == len(coarse.space.blocks[coarse.space.block_id(cell[0])]) for cell in fine.space.blocks]
+
+
 def side_of(result):
     for side in ("lower", "upper"):
         if side in result.reason:
@@ -665,18 +671,28 @@ class TestWordRunBudget:
             assert "word runs" in str(err.value)
         assert check_covering(m, m, identity_covering(m), depth=1)
 
-    def test_deep_covering_steps_each_configuration_once(self, five_state, monkeypatch):
-        # Depth 12 checks the two-letter words, 25 * 2**2 = 100 runs. The
-        # pass steps each distinct (lower ids, upper ids, letter) once
-        # through the kernel instead, and runs no word from scratch.
-        narrow, wide, pair = self.restricted_in_full(five_state)
-        assert len(wide.space.states) * len(narrow.alphabet) ** 2 == 100
-        computed, checked = [], []
-        step, escape = morphism._step, morphism._escape
+    @staticmethod
+    def counting_steps(monkeypatch):
+        """The (machine id, lower ids, upper ids, letter) of every `_step` call from here on."""
+        computed, step = [], morphism._step
 
         def counted_step(m, low, up, x):
             computed.append((id(m), low, up, x))
             return step(m, low, up, x)
+
+        monkeypatch.setattr(morphism, "_step", counted_step)
+        return computed
+
+    def test_deep_covering_steps_each_configuration_once(self, monkeypatch):
+        # Every fine block is a strict part of its coarse block, so every
+        # start escapes the image and depth 12 checks the two-letter
+        # words, 8 * 2**2 = 32 runs. The pass steps each distinct (lower
+        # ids, upper ids, letter) once through the kernel instead, and
+        # runs no word from scratch.
+        coarse, fine, maps = coarse_over_fine(random.Random(0), 8, ("a", "b"), extra=0.5)
+        assert not any(whole_blocks(coarse, fine))
+        computed = self.counting_steps(monkeypatch)
+        checked, escape = [], morphism._escape
 
         def counted_check(*args):
             checked.append(args)
@@ -685,14 +701,48 @@ class TestWordRunBudget:
         def no_word_runs(*args):
             raise AssertionError("a covering check ran a word from scratch")
 
-        monkeypatch.setattr(morphism, "_step", counted_step)
         monkeypatch.setattr(morphism, "_escape", counted_check)
         monkeypatch.setattr(machine, "_run", no_word_runs)
-        assert check_covering(narrow, wide, pair, depth=12)
+        assert check_covering(coarse, fine, CoveringPair(*maps), depth=12)
         assert 0 < len(computed) < 1_000
         assert len(set(computed)) == len(computed)
-        # 25 states * 2 letters, then each distinct configuration once.
-        assert 50 < len(checked) < 100
+        # 8 states * 2 letters, then each distinct configuration once:
+        # 6 distinct starts * 4 words at most.
+        assert 16 < len(checked) <= 16 + 24
+
+    def test_blocks_onto_blocks_run_no_words(self, five_state, monkeypatch):
+        # eta maps each block onto a block, so every start lies inside the
+        # image and the letters decide every word: no configuration steps.
+        rng = random.Random(83)
+        quartet = [
+            random_machine(rng, n_states=2, alphabet=alphabet, name=f"m{i}")
+            for i, alphabet in enumerate((("a", "b"), ("a",), ("a",)), start=1)
+        ] + [exact_machine(1, ("a",))]
+        exchange = witness_wreath_exchange(*quartet)
+        narrow, wide, pair = self.restricted_in_full(five_state)
+        cases = [(narrow, wide, pair), (exchange.subject, exchange.witness, exchange.pair)]
+        computed = self.counting_steps(monkeypatch)
+        for m1, m2, pair in cases:
+            assert check_covering(m1, m2, pair)
+        assert computed == []
+        monkeypatch.undo()
+        for m1, m2, pair in cases:
+            assert oracles.brute_covers(m1, m2, pair.state_map, pair.input_map, 4)
+
+    def test_mixed_starts_fail_first_where_words_do(self):
+        # A fine block left whole starts inside the image and runs no
+        # words, a split one starts outside it; the pass runs only the
+        # latter and still meets the word-by-word first failure.
+        rng = random.Random(79)
+        mixed_failures = 0
+        for _ in range(20):
+            coarse, fine, maps = coarse_over_fine(rng, rng.randint(3, 7), ("a", "b"))
+            whole = whole_blocks(coarse, fine)
+            result = check_covering(coarse, fine, CoveringPair(*maps))
+            found = None if result else (result.counterexample, side_of(result))
+            assert found == oracles.first_covering_failure(coarse, fine, *maps, 4)
+            mixed_failures += any(whole) and not all(whole) and not result
+        assert mixed_failures
 
     def test_homomorphism_check_runs_no_words(self, five_state, monkeypatch):
         wide = full_direct(five_state, five_state)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import inspect
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from roughfsm.errors import AlphabetMismatch, PreconditionFailed
 from roughfsm.generate import exact_machine, random_machine
 from roughfsm.morphism import CheckResult, check_covering, check_isomorphism
 from roughfsm.propositions import CLAIM_NAMES, PRODUCT_KINDS, WitnessReport
+from roughfsm.textio import serialize_machine
 
 
 def identity_covering(machine):
@@ -224,21 +227,17 @@ class TestRunClaimTrials:
             assert reports
             assert all(r.claim == claim for r in reports)
 
-    # The depth of each covering claim: 2 checks every word, 1 letters only.
-    COVER_DEPTHS = {
-        "restricted-in-full": 2,
-        "cascade-in-wreath": 2,
-        "wreath-exchange": 1,
-        "lift": 1,
-    }
-
     @pytest.mark.parametrize("seed", range(4))
     def test_each_claim_checks_at_its_depth(self, monkeypatch, seed):
+        # Every covering claim checks every word: depth 2, passed or by default.
         depths = []
+        signature = inspect.signature(check_covering)
 
-        def recording(m1, m2, pair, depth):
-            depths.append(depth)
-            return check_covering(m1, m2, pair, depth)
+        def recording(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            depths.append(bound.arguments["depth"])
+            return check_covering(*args, **kwargs)
 
         monkeypatch.setattr(propositions, "check_covering", recording)
         for claim in CLAIM_NAMES:
@@ -247,10 +246,30 @@ class TestRunClaimTrials:
                 if claim == "associativity":
                     fresh = check_isomorphism(report.subject, report.witness, report.pair)
                 else:
-                    depth = self.COVER_DEPTHS[claim]
-                    fresh = check_covering(report.subject, report.witness, report.pair, depth)
+                    fresh = check_covering(report.subject, report.witness, report.pair, 2)
                 assert report.result == fresh
-            assert set(depths) == ({self.COVER_DEPTHS[claim]} if claim in self.COVER_DEPTHS else set())
+            assert set(depths) == (set() if claim == "associativity" else {2})
+
+    # sha256 over seeds 0-7 of run_claim_trials(claim, seed, trials=2):
+    # each report's verdict, counterexample, maps and both machines' text.
+    REPORT_DIGESTS = {
+        "restricted-in-full": "4e14d876b7667cf3",
+        "wreath-exchange": "52dc31d05974ca1c",
+        "cascade-in-wreath": "4079881e4e10e4a6",
+        "associativity": "317c8031d63735c5",
+        "lift": "488c3c1726efaa41",
+    }
+
+    @pytest.mark.parametrize("claim", CLAIM_NAMES)
+    def test_reports_are_pinned(self, claim):
+        digest = hashlib.sha256()
+        for seed in range(8):
+            for r in run_claim_trials(claim, seed=seed, trials=2):
+                items = (tuple(r.pair.state_map.items()), tuple(r.pair.input_map.items()))
+                digest.update(repr((r.claim, r.detail, r.holds, repr(r.counterexample), items)).encode())
+                digest.update(serialize_machine(r.subject).encode())
+                digest.update(serialize_machine(r.witness).encode())
+        assert digest.hexdigest()[:16] == self.REPORT_DIGESTS[claim]
 
     def test_same_seed_reproduces_the_run(self):
         first = run_claim_trials("restricted-in-full", seed=12, trials=3)
