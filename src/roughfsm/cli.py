@@ -78,7 +78,7 @@ def cmd_validate(args) -> int:
         else:
             print(f"violation: {e}")
         return 1
-    # parse_machine has already run the non-strict checks.
+    # parse_machine has checked the shape without a walk; --strict walks the machine once.
     problems = validate_machine(machine, strict=True) if args.strict else []
     if problems:
         for v in problems:

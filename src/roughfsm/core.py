@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import add
 from typing import Iterable
 
 from .errors import DuplicateState, MismatchedSpace, NonPartition, UnknownState
@@ -108,6 +109,18 @@ class ApproximationSpace:
         return tuple(sum(map(self.state_bits.__getitem__, cell)) for cell in self.blocks)
 
     @cached_property
+    def _state_runs(self) -> "_ByteRuns":
+        return _ByteRuns(self.states, tuple)
+
+    @cached_property
+    def _name_runs(self) -> "_ByteRuns":
+        return _ByteRuns(self.names, tuple)
+
+    @cached_property
+    def _text_runs(self) -> "_ByteRuns":
+        return _ByteRuns(self.names, _spaced)
+
+    @cached_property
     def block_positions(self) -> tuple[tuple[int, ...], ...]:
         """One tuple per block: its members' positions in the declared order."""
         return tuple(tuple(map(self._position.__getitem__, cell)) for cell in self.blocks)
@@ -153,6 +166,28 @@ class ApproximationSpace:
         return {}
 
 
+class _ByteRuns(dict):
+    """render(the values at the set bits of byte k of a position mask), keyed 256 * k + byte.
+
+    Bit i of byte k stands for position 8 * k + i, so one lookup per byte
+    renders a set's members in declared order without sorting them
+    (the Method of Four Russians). Filled on first use of each key.
+    """
+
+    def __init__(self, values: tuple, render):
+        super().__init__()
+        self.values, self.render = values, render
+
+    def __missing__(self, key: int):
+        k, byte = divmod(key, 256)
+        run = self[key] = self.render([self.values[8 * k + i] for i in range(8) if byte >> i & 1])
+        return run
+
+
+def _spaced(names: list[str]) -> str:
+    return "".join(n + " " for n in names)
+
+
 @dataclass(frozen=True, slots=True)
 class DefinableSet:
     """A union of blocks of one approximation space.
@@ -167,17 +202,22 @@ class DefinableSet:
     def states_set(self) -> frozenset:
         return frozenset(q for i in self.block_ids for q in self.space.blocks[i])
 
-    def _in_order(self, values: tuple) -> tuple:
-        """The entries of `values` (one per state) at the members' positions, in order."""
-        positions = chain.from_iterable(map(self.space.block_positions.__getitem__, self.block_ids))
-        return tuple(map(values.__getitem__, sorted(positions)))
+    def _in_order(self, runs: "_ByteRuns"):
+        """The `runs` entry of each byte of the members' position mask, in declared order."""
+        mask = sum(map(self.space.block_masks.__getitem__, self.block_ids))  # blocks are disjoint
+        n = (len(self.space.states) + 7) // 8
+        return map(runs.__getitem__, map(add, range(0, 256 * n, 256), mask.to_bytes(n, "little")))
 
     def states_ordered(self) -> tuple:
-        return self._in_order(self.space.states)
+        return tuple(chain.from_iterable(self._in_order(self.space._state_runs)))
 
     def member_names(self) -> tuple[str, ...]:
         """Printed names of the member states, in declared order."""
-        return self._in_order(self.space.names)
+        return tuple(chain.from_iterable(self._in_order(self.space._name_runs)))
+
+    def member_text(self) -> str:
+        """The member names in declared order, each followed by one space."""
+        return "".join(self._in_order(self.space._text_runs))
 
     def blocks_ordered(self) -> tuple[tuple, ...]:
         return tuple(self.space.blocks[i] for i in sorted(self.block_ids))

@@ -17,6 +17,11 @@ One builder evaluates each feed once per (q2, letter) and is the only
 check that fed inputs are letters of the factors. Entry values multiply
 componentwise: lower with lower, upper with upper. Letters that select
 equal factor-entry pairs share one immutable entry.
+
+Products skip make_machine's validation walk: from well-formed factors
+the table is total over the product grid, every side lies in the product
+space, and lower <= upper multiplies componentwise, so the result is
+well formed by construction (acceptance criterion 8 checks this).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
     UnknownSymbol,
     WiringTotalityError,
 )
-from .machine import Machine, make_machine
+from .machine import Machine
 
 __all__ = [
     "FunctionSymbol",
@@ -141,10 +146,10 @@ def _build(m1: Machine, m2: Machine, alphabet, feed, name: str) -> Machine:
     space = product_partition(m1.space, m2.space)
     n2 = m2.space.n_blocks
     symbols1, symbols2 = m1._symbol_index, m2._symbol_index
-    fed = {}
+    fed = {}  # q2 -> feed(q2, a) for each letter a, in alphabet order
     for q2 in m2.space.states:
-        for a in alphabet:
-            x1, x2 = fed[q2, a] = feed(q2, a)
+        fed[q2] = row = [feed(q2, a) for a in alphabet]
+        for a, (x1, x2) in zip(alphabet, row):
             if x1 not in symbols1 or x2 not in symbols2:
                 which, x = ("first", x1) if x1 not in symbols1 else ("second", x2)
                 where = f"letter {value_name(a)} at {value_name(q2)}"
@@ -160,8 +165,8 @@ def _build(m1: Machine, m2: Machine, alphabet, feed, name: str) -> Machine:
         return RoughSet(side(r1.lower.block_ids, r2.lower.block_ids), side(r1.upper.block_ids, r2.upper.block_ids))
 
     # The product space's states are the pairs (q1, q2); keying by them shares one tuple per state.
-    table = {(q, a): entry(*q, *fed[q[1], a]) for q in space.states for a in alphabet}
-    return make_machine(space, tuple(alphabet), table, name)
+    table = {(q, a): entry(*q, *xs) for q in space.states for a, xs in zip(alphabet, fed[q[1]])}
+    return Machine(space, tuple(alphabet), table, name)  # well formed by construction: see the module docstring
 
 
 def full_direct(m1: Machine, m2: Machine) -> Machine:

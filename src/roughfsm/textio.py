@@ -14,8 +14,7 @@ A machine document looks like:
 
 Names are single tokens without whitespace, braces or '#'. The machine
 line comes first; states, block, inputs and trans lines may follow in
-any order, since transitions are resolved once the whole document is
-read. The serializer
+any order. The serializer
 always writes the canonical order shown above, with blocks in block-id
 order and transitions sorted by state then symbol, so serialized
 documents diff cleanly and parse back to an equal machine.
@@ -27,9 +26,18 @@ as the symbol phi in tables.
 The readers split each line once on whitespace, cutting a comment only
 where '#' occurs, and find a token's column only when raising
 ParseError. A transition line splits into keyword, state, input and
-tail text: a tail text read before costs one lookup, a new one is
-tokenized, and equal token tails share one rough set. The writer
-renders each distinct entry object once.
+tail text. A tail read before costs one lookup; a new one is cut into
+its lower and upper member texts (by slicing when it has the writer's
+spacing, by tokens otherwise) and resolved at once to block ids, each
+member text once. Trans lines resolve as they are read when the header
+comes before them, and after the last line otherwise; either way errors
+come in document order, semantic ones once every line has parsed. The
+reader checks the machine's shape itself and calls validate_machine
+only to report a failed check.
+
+The writer renders each distinct entry and side once: it cuts a side's
+member-position mask into bytes and looks each up in a per-space table
+of member texts (the Method of Four Russians).
 """
 
 from __future__ import annotations
@@ -70,8 +78,14 @@ _UNREADABLE = re.compile(r"[\s{}#]")  # what splits or cuts a name token on read
 
 
 def _rows(text: str, maxsplit: int = -1):
-    """(line number, line, tokens) of each line holding a token once its comment is cut, split maxsplit times."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """(line number, line, tokens) of each line holding a token once its comment is cut, split maxsplit times.
+
+    Each line is let go once read, so a long document is not held twice over.
+    """
+    lines = text.splitlines()
+    lines.reverse()
+    for lineno in range(1, len(lines) + 1):
+        line = lines.pop()
         tokens = (line.split("#", 1)[0] if "#" in line else line).split(None, maxsplit)
         if tokens:
             yield lineno, line, tokens
@@ -95,20 +109,31 @@ def _names(tokens: list[str], start: int, stop: int, line: str, lineno: int, wha
     return names
 
 
-def _parse_trans_line(tokens, line, lineno, read: dict):
-    """(state, symbol, (lower, upper) member names) of a line split as `trans state symbol tail`.
-
-    `read` maps each tail text read, and each tail's tokens, to one shared pair.
-    """
+def _split_trans_line(tokens, line, lineno) -> tuple[str, str, str]:
+    """(state, symbol, tail text) of a line split as `trans state symbol tail`."""
     if len(tokens) < 4:
         raise ParseError("incomplete transition line", lineno, _column(line, 0))
-    _, state, symbol, text = tokens
+    _, state, symbol, tail = tokens
     if "{" in state or "}" in state or "{" in symbol or "}" in symbol:
         _names(tokens, 1, 2, line, lineno, "state")
         _names(tokens, 2, 3, line, lineno, "input")
-    if text in read:
-        return state, symbol, read[text]
-    tokens = tokens[:3] + text.split()
+    return state, symbol, tail
+
+
+def _tail_sides(tokens, line, lineno) -> tuple[str, str]:
+    """The lower and upper member texts of the tail `lower { ... } upper { ... }` of a split trans line."""
+    tail = tokens[3]
+    cut = tail.find("} upper { ")
+    # The writer's layout: one space around each brace, none left over at the end.
+    if cut >= 8 and tail.startswith("lower { ") and tail.endswith(" }") and tail[cut - 1] == " ":
+        if tail.count("{") == 2 == tail.count("}"):
+            return tail[8:cut], tail[cut + 10 : -1]
+    return tuple(map(" ".join, _tail_names(tokens, line, lineno)))
+
+
+def _tail_names(tokens, line, lineno) -> tuple[list[str], list[str]]:
+    """The (lower, upper) member names of a tail, or the ParseError at its first bad token."""
+    tokens = tokens[:3] + tokens[3].split()
     end = len(tokens)
 
     def read_set(i, keyword):
@@ -129,8 +154,7 @@ def _parse_trans_line(tokens, line, lineno, read: dict):
     upper, i = read_set(i, "upper")
     if i < end:
         raise ParseError(f"unexpected token {tokens[i]!r}", lineno, _column(line, i))
-    sets = read[text] = read.setdefault(tuple(tokens[3:]), (lower, upper))
-    return state, symbol, sets
+    return lower, upper
 
 
 def parse_machine(text: str) -> Machine:
@@ -138,12 +162,40 @@ def parse_machine(text: str) -> Machine:
 
     The machine line's name becomes the machine's `name`.
     """
-    name = None
-    states = None
+    return _read_machine(text, early=True)
+
+
+def _read_machine(text: str, early: bool) -> Machine:
+    """parse_machine's reader; with `early`, trans lines resolve as they are read.
+
+    They do when the states, block and inputs lines come before the first
+    trans line. Otherwise every entry resolves after the last line, and a
+    block line after a trans line reads the document again with
+    early=False. Errors come in the same order either way: syntax errors
+    and duplicates as their lines are read, then a missing header line,
+    then the partition, then the entries in document order.
+    """
+    name = states = inputs = space = None
     blocks: list[list[str]] = []
-    inputs = None
-    entries = {}  # (state, symbol) -> (line number, (lower, upper) member names), in document order
-    read = {}
+    entries = {}  # (state, symbol) -> line number of its trans line, in document order
+    tails = {}  # tail text -> its (lower, upper) member texts until resolved, then its RoughSet
+    deferred = []  # (state, symbol, line number, tail text) of the entries left to resolve at the end
+    table = {}
+    sides = {}  # member text -> its block ids
+    shared = {}  # (lower ids, upper ids) -> their one RoughSet
+    resolving = False  # whether trans lines resolve as they come
+    pending = None  # the first semantic error met while resolving, raised once every line has parsed
+
+    def settle(state, symbol, lineno, tail):
+        """Put the entry of a trans line in the table, its tail resolved on first use."""
+        if state not in space._position:
+            raise SemanticError(f"transition from unknown state {state} on line {lineno}")
+        if symbol not in symbols:
+            raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
+        r = tails[tail]
+        if r.__class__ is not RoughSet:
+            r = tails[tail] = _resolve(space, sides, shared, r, state, symbol, lineno)
+        table[state, symbol] = r
 
     for lineno, line, tokens in _rows(text, 3):
         keyword = tokens[0]
@@ -157,13 +209,27 @@ def parse_machine(text: str) -> Machine:
             (name,) = _names(tokens, 1, 2, line, lineno, "machine")
             continue
         if keyword == "trans":
-            state, symbol, sets = _parse_trans_line(tokens, line, lineno, read)
+            state, symbol, tail = _split_trans_line(tokens, line, lineno)
+            if tail not in tails:
+                tails[tail] = _tail_sides(tokens, line, lineno)
             if (state, symbol) in entries:
                 raise SemanticError(
                     f"duplicate transition for ({state}, {symbol}) on line {lineno}"
-                    f" (first on line {entries[state, symbol][0]})"
+                    f" (first on line {entries[state, symbol]})"
                 )
-            entries[state, symbol] = (lineno, sets)
+            entries[state, symbol] = lineno
+            if len(entries) == 1:  # the first trans line
+                resolving = early and states is not None and bool(blocks) and inputs is not None
+                if resolving:
+                    space, pending = _space(states, blocks)
+                    symbols = set(inputs)
+            if not resolving:
+                deferred.append((state, symbol, lineno, tail))
+            elif pending is None:
+                try:
+                    settle(state, symbol, lineno, tail)
+                except SemanticError as e:
+                    pending = e
         elif keyword == "machine":
             raise ParseError("second machine line", lineno, _column(line, 0))
         elif keyword == "states":
@@ -175,6 +241,8 @@ def parse_machine(text: str) -> Machine:
         elif keyword == "block":
             if len(tokens) == 1:
                 raise ParseError("block line lists no states", lineno, _column(line, 0))
+            if resolving:  # the partition resolved against so far is not the document's
+                return _read_machine(text, early=False)
             blocks.append(_names(tokens, 1, len(tokens), line, lineno, "state"))
         elif keyword == "inputs":
             if inputs is not None:
@@ -193,39 +261,57 @@ def parse_machine(text: str) -> Machine:
         raise ParseError("missing block lines")
     if inputs is None:
         raise ParseError("missing inputs line")
+    if not resolving:
+        space, pending = _space(states, blocks)
+        symbols = set(inputs)
+        if pending is None:
+            for entry in deferred:
+                settle(*entry)
+    if pending is not None:
+        raise pending
 
+    alphabet = tuple(inputs)
+    # A table of distinct known entries is total iff it has one per grid cell; a repeated
+    # input shrinks the table below that. Then only lower <= upper is left to check.
+    if len(table) != len(states) * len(alphabet) or not all(
+        r.lower.block_ids <= r.upper.block_ids for r in shared.values()
+    ):
+        make_machine(space, alphabet, table, name)  # raises SemanticError with validate_machine's violations
+    return Machine(space, alphabet, table, name)
+
+
+def _space(states, blocks) -> tuple:
+    """(the partition of `states` into `blocks`, None), or (None, the SemanticError refusing it)."""
     try:
-        space = make_partition(states, blocks)
+        return make_partition(states, blocks), None
     except (DuplicateState, NonPartition) as e:
-        raise SemanticError(str(e)) from e
+        error = SemanticError(str(e))
+        error.__cause__ = e
+        return None, error
 
-    known = set(states)
-    symbols = set(inputs)
-    table = {}
-    shared = {}  # id of a (lower, upper) pair in `read` -> its rough set, built on its first line
-    for (state, symbol), (lineno, sets) in entries.items():
-        if state not in known:
-            raise SemanticError(f"transition from unknown state {state} on line {lineno}")
-        if symbol not in symbols:
-            raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
-        if id(sets) not in shared:
-            parts = []
-            for side, members in zip(("lower", "upper"), sets):
-                try:
-                    ids = union_block_ids(space, members)
-                except UnknownState:
-                    bad = next(q for q in members if q not in known)
-                    raise SemanticError(f"unknown state {bad} in {side} set on line {lineno}") from None
-                if ids is None:
-                    raise NonDefinableEntry(
-                        f"{side} set of ({state}, {symbol}) on line {lineno} "
-                        "is not a union of blocks"
-                    )
-                parts.append(DefinableSet(space, ids))
-            shared[id(sets)] = RoughSet(*parts)
-        table[(state, symbol)] = shared[id(sets)]
 
-    return make_machine(space, tuple(inputs), table, name)
+def _resolve(space, sides: dict, shared: dict, texts, state, symbol, lineno) -> RoughSet:
+    """The rough set whose lower and upper list the members in `texts`, one per (lower ids, upper ids).
+
+    `sides` keeps the block ids of each member text resolved before.
+    """
+    ids = []
+    for side, text in zip(("lower", "upper"), texts):
+        if text not in sides:
+            members = text.split()
+            try:
+                side_ids = union_block_ids(space, members)
+            except UnknownState:
+                bad = next(q for q in members if q not in space._position)
+                raise SemanticError(f"unknown state {bad} in {side} set on line {lineno}") from None
+            if side_ids is None:
+                raise NonDefinableEntry(f"{side} set of ({state}, {symbol}) on line {lineno} is not a union of blocks")
+            sides[text] = space._id_sets.setdefault(side_ids, side_ids)
+        ids.append(sides[text])
+    key = tuple(ids)
+    if key not in shared:
+        shared[key] = RoughSet(DefinableSet(space, ids[0]), DefinableSet(space, ids[1]))
+    return shared[key]
 
 
 def serialize_machine(machine: Machine) -> str:
@@ -246,7 +332,18 @@ def serialize_machine(machine: Machine) -> str:
     lines = [f"machine {machine.name}", "states " + " ".join(names)]
     lines += ("block " + " ".join(cell) for cell in blocks)
     lines.append("inputs " + " ".join(symbols))
-    for (q_name, x_name), tail in zip(product(names, symbols), machine.each_entry(_sets_text)):
+    texts = {}  # (id of a side's space, its block ids) -> its member text, rendered once
+
+    def side(d: DefinableSet) -> str:
+        key = id(d.space), d.block_ids
+        if key not in texts:
+            texts[key] = d.member_text()
+        return texts[key]
+
+    def sets_text(r: RoughSet) -> str:
+        return f"lower {{ {side(r.lower)}}} upper {{ {side(r.upper)}}}"
+
+    for (q_name, x_name), tail in zip(product(names, symbols), machine.each_entry(sets_text)):
         lines.append(f"trans {q_name} {x_name} {tail}")
     return "\n".join(lines) + "\n"
 
@@ -259,13 +356,6 @@ def _require_distinct(what: str, values, names):
             raise NameCollision(f"{what} {value!r} prints as {name!r}, which is not a single name token")
         if first.setdefault(name, value) != value:
             raise NameCollision(f"{what}s {first[name]!r} and {value!r} both print as {name}")
-
-
-def _sets_text(r: RoughSet) -> str:
-    """The `lower { ... } upper { ... }` part of an entry's trans line."""
-    lower = " ".join(r.lower.member_names() + ("",))  # each name followed by a space
-    upper = " ".join(r.upper.member_names() + ("",))
-    return f"lower {{ {lower}}} upper {{ {upper}}}"
 
 
 def format_definable(definable: DefinableSet) -> str:

@@ -246,6 +246,25 @@ class TestDefinableSet:
         assert d.states_ordered() == ("q1", "q2", "q4")
         assert d.blocks_ordered() == (("q1", "q2"), ("q4",))
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 99, 801])
+    def test_member_orders_match_sorted_positions_at_byte_edges(self, n):
+        # Members are read off their position mask a byte at a time; tuple
+        # states print differently from themselves, and blocks are scattered.
+        rng = random.Random(n)
+        states = [("s", i) for i in range(n)]
+        shuffled = rng.sample(states, n)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, n // 3))) if n > 1 else []
+        cells = [shuffled[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+        space = make_partition(states, cells)
+        picks = [[], list(range(space.n_blocks))]
+        picks += [rng.sample(range(space.n_blocks), rng.randint(1, space.n_blocks)) for _ in range(20)]
+        for ids in picks:
+            d = space.definable(ids)
+            positions = sorted(space.position(q) for i in ids for q in space.blocks[i])
+            assert d.states_ordered() == tuple(states[p] for p in positions)
+            assert d.member_names() == tuple(value_name(states[p]) for p in positions)
+            assert d.member_text() == "".join(value_name(states[p]) + " " for p in positions)
+
     def test_cross_space_algebra_rejected(self):
         other = make_partition(["q1"], [["q1"]])
         with pytest.raises(MismatchedSpace):

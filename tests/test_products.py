@@ -199,6 +199,24 @@ class TestWreath:
         assert len(wr.table) == 9 * 24 > bound == 54
         assert len({id(r) for r in wr.table.values()}) <= bound
 
+    def test_each_letter_and_table_key_hashes_its_symbol_once(self, monkeypatch):
+        m1 = random_machine(random.Random(3), n_states=3, alphabet="ab")
+        m2 = random_machine(random.Random(4), n_states=10, alphabet="ab")
+        calls = 0
+        real = FunctionSymbol.__hash__
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return real(self)
+
+        monkeypatch.setattr(FunctionSymbol, "__hash__", counting)
+        wr = wreath(m1, m2)
+        assert (len(wr.table), len(wr.alphabet)) == (61_440, 2_048)
+        assert calls <= len(wr.table) + len(wr.alphabet)
+        monkeypatch.undo()
+        assert validate_machine(wr) == []
+
     def test_function_symbols_enumerate_lexicographically(self):
         symbols = all_function_symbols(("a", "b"), ("s", "t"))
         assert [s.outputs for s in symbols] == [

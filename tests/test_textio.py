@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +244,41 @@ class TestSemanticErrors:
         with pytest.raises(SemanticError, match="missing table entry"):
             parse_machine(text + "# no transitions\n")
 
+    # Documents the reader checks itself, with the messages and violations that
+    # validate_machine gives them.
+    SHAPE_ERRORS = [
+        (
+            "machine m\nstates q1 q2\nblock q1\nblock q2\ninputs a b\n"
+            "trans q1 a lower { q1 } upper { q1 }\ntrans q1 b lower { } upper { q2 }\n"
+            "trans q2 a lower { q2 } upper { q1 q2 }\n",
+            "machine m is not well formed: missing table entry at (q2, b)",
+            [("q2", "b", "missing table entry")],
+        ),
+        (
+            "machine m\nstates q1 q2\nblock q1 q2\ninputs a a\n"
+            "trans q1 a lower { } upper { q1 q2 }\ntrans q2 a lower { q1 q2 } upper { q1 q2 }\n",
+            "machine m is not well formed: alphabet lists a symbol twice",
+            [(None, None, "alphabet lists a symbol twice")],
+        ),
+        (
+            "machine m\nstates q1 q2 q3\nblock q1 q2\nblock q3\ninputs a\n"
+            "trans q1 a lower { q3 } upper { q1 q2 }\ntrans q2 a lower { q3 } upper { q1 q2 }\n"
+            "trans q3 a lower { } upper { q3 }\n",
+            "machine m is not well formed: lower approximation not contained in upper at (q1, a);"
+            " lower approximation not contained in upper at (q2, a)",
+            [("q1", "a", "lower approximation not contained in upper"),
+             ("q2", "a", "lower approximation not contained in upper")],
+        ),
+    ]
+
+    @pytest.mark.parametrize("text, message, violations", SHAPE_ERRORS)
+    def test_shape_errors_carry_the_validator_violations(self, text, message, violations):
+        with pytest.raises(SemanticError) as err:
+            parse_machine(text)
+        assert type(err.value) is SemanticError
+        assert str(err.value) == message
+        assert [(v.state, v.symbol, v.reason) for v in err.value.violations] == violations
+
 
 class TestRoundTrip:
     def test_fixture_survives_serialize_then_parse(self, five_state, five_state_text):
@@ -476,6 +512,49 @@ def test_serialized_bytes_are_pinned(seed):
     assert [hashlib.sha256(t).hexdigest() for t in texts] == SERIALIZED_SHA256[seed]
 
 
+# sha256 of serialize_machine on two larger products whose sides span many bytes of a position mask.
+LARGE_PRODUCT_SHA256 = {
+    "full 12x12": "3bb5edb8360dbbc185603e27eefeeacccbc2350af1ce5256740e5f1dc3587307",
+    "wreath 6x6": "d7a75f91874fcfadccc15b2d81853ea7eef428e491c5b11945f56e167c055578",
+}
+
+
+def large_products():
+    rng = random.Random(12)
+    m1, m2 = (random_machine(rng, n_states=12, alphabet="ab", min_block_size=2) for _ in range(2))
+    yield "full 12x12", full_direct(m1, m2)
+    rng = random.Random(6)
+    m1, m2 = (random_machine(rng, n_states=6, alphabet="ab", min_block_size=2) for _ in range(2))
+    yield "wreath 6x6", wreath(m1, m2)
+
+
+def test_large_products_are_pinned():
+    for key, product in large_products():
+        text = serialize_machine(product)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LARGE_PRODUCT_SHA256[key]
+        assert parse_machine(text) == product
+
+
+def test_parsing_a_dense_document_keeps_little_memory():
+    m = random_machine(random.Random(1), n_states=200, alphabet="abcd", min_block_size=2)
+    text = serialize_machine(m)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_machine(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert parsed == m
+    # The 742 KB document and the machine it reads (about 3 MB of block-id sets)
+    # must not bring the token lists of every tail along.
+    assert peak <= 6_000_000
+
+
 def reader_outcome(read, text):
     """The machine `read` makes of `text`, or the type, message, line and column of its error."""
     try:
@@ -542,6 +621,54 @@ class TestAgainstReferenceReader:
                 cascade(m1, m2, random_wiring(rng, m1, m2)),
             )
         ]
+
+    @staticmethod
+    def reordered(text):
+        """Documents that test the reader's order of work, each with the outcome it must have.
+
+        The header after the trans lines, a block line after the first trans
+        line, a malformed tail after a non-definable entry, and the same two
+        lines the other way round: the syntax error wins in both.
+        """
+        machine_line, *lines = text.splitlines()
+        trans = [line for line in lines if line.startswith("trans ")]
+        head = [line for line in lines if not line.startswith("trans ")]
+        last_block = max(i for i, line in enumerate(head) if line.startswith("block "))
+        wide = next(line.split()[1:] for line in head if line.startswith("block ") and len(line.split()) > 2)
+
+        def ragged(line):  # one member of a two-or-more-state block alone makes the upper ragged
+            return " ".join(line.split()[:3] + ["lower", "{", "}", "upper", "{", wide[0], "}"])
+
+        def unterminated(line):
+            return line.rstrip("} ")
+
+        return [
+            ([machine_line] + trans + head, None),
+            ([machine_line] + head[:last_block] + head[last_block + 1 :] + trans[:1] + [head[last_block]] + trans[1:],
+             None),
+            ([machine_line] + head + [ragged(trans[0])] + trans[1:-1] + [unterminated(trans[-1])], ParseError),
+            ([machine_line] + head + [unterminated(trans[0])] + trans[1:-1] + [ragged(trans[-1])], ParseError),
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reordered_documents_read_as_the_reference_reads_them(self, seed):
+        rng = random.Random(seed)
+        m1 = random_machine(rng, n_states=4, alphabet=("a", "b"), name="m1", min_block_size=2)
+        m2 = random_machine(rng, n_states=2, alphabet=("a", "b"), name="m2", min_block_size=2)
+        for product in (full_direct(m1, m2), wreath(m1, m2), cascade(m1, m2, random_wiring(rng, m1, m2))):
+            for lines, error in self.reordered(serialize_machine(product)):
+                text = "\n".join(lines) + "\n"
+                got = reader_outcome(parse_machine, text)
+                want = reader_outcome(oracles.reference_parse_machine, text)
+                if error is None:
+                    assert got == want == product
+                    assert got.canonical_key() == want.canonical_key()
+                else:
+                    assert got == want and want[0] is error, text
+        # Without the malformed tail the ragged entry is what the reader refuses.
+        text = "\n".join(self.reordered(serialize_machine(m1))[2][0][:-1]) + "\n"
+        assert reader_outcome(parse_machine, text)[0] is NonDefinableEntry
+        assert reader_outcome(parse_machine, text) == reader_outcome(oracles.reference_parse_machine, text)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fast_reader_agrees_with_the_reference(self, seed):
