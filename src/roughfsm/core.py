@@ -110,15 +110,11 @@ class ApproximationSpace:
 
     @cached_property
     def _state_runs(self) -> "_ByteRuns":
-        return _ByteRuns(self.states, tuple)
+        return _ByteRuns(self.states)
 
     @cached_property
     def _name_runs(self) -> "_ByteRuns":
-        return _ByteRuns(self.names, tuple)
-
-    @cached_property
-    def _text_runs(self) -> "_ByteRuns":
-        return _ByteRuns(self.names, _spaced)
+        return _ByteRuns(self.names)
 
     @cached_property
     def block_positions(self) -> tuple[tuple[int, ...], ...]:
@@ -167,25 +163,21 @@ class ApproximationSpace:
 
 
 class _ByteRuns(dict):
-    """render(the values at the set bits of byte k of a position mask), keyed 256 * k + byte.
+    """The values at the set bits of byte k of a position mask, keyed 256 * k + byte.
 
     Bit i of byte k stands for position 8 * k + i, so one lookup per byte
-    renders a set's members in declared order without sorting them
-    (the Method of Four Russians). Filled on first use of each key.
+    lists a set's members in declared order without sorting them (the
+    Method of Four Russians). Filled on first use of each key.
     """
 
-    def __init__(self, values: tuple, render):
+    def __init__(self, values: tuple):
         super().__init__()
-        self.values, self.render = values, render
+        self.values = values
 
-    def __missing__(self, key: int):
+    def __missing__(self, key: int) -> tuple:
         k, byte = divmod(key, 256)
-        run = self[key] = self.render([self.values[8 * k + i] for i in range(8) if byte >> i & 1])
+        run = self[key] = tuple(self.values[8 * k + i] for i in range(8) if byte >> i & 1)
         return run
-
-
-def _spaced(names: list[str]) -> str:
-    return "".join(n + " " for n in names)
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,22 +194,19 @@ class DefinableSet:
     def states_set(self) -> frozenset:
         return frozenset(q for i in self.block_ids for q in self.space.blocks[i])
 
-    def _in_order(self, runs: "_ByteRuns"):
-        """The `runs` entry of each byte of the members' position mask, in declared order."""
+    def _in_order(self, runs: _ByteRuns) -> tuple:
+        """The `runs` values at the members' positions, in declared order."""
         mask = sum(map(self.space.block_masks.__getitem__, self.block_ids))  # blocks are disjoint
         n = (len(self.space.states) + 7) // 8
-        return map(runs.__getitem__, map(add, range(0, 256 * n, 256), mask.to_bytes(n, "little")))
+        keys = map(add, range(0, 256 * n, 256), mask.to_bytes(n, "little"))
+        return tuple(chain.from_iterable(map(runs.__getitem__, keys)))
 
     def states_ordered(self) -> tuple:
-        return tuple(chain.from_iterable(self._in_order(self.space._state_runs)))
+        return self._in_order(self.space._state_runs)
 
     def member_names(self) -> tuple[str, ...]:
         """Printed names of the member states, in declared order."""
-        return tuple(chain.from_iterable(self._in_order(self.space._name_runs)))
-
-    def member_text(self) -> str:
-        """The member names in declared order, each followed by one space."""
-        return "".join(self._in_order(self.space._text_runs))
+        return self._in_order(self.space._name_runs)
 
     def blocks_ordered(self) -> tuple[tuple, ...]:
         return tuple(self.space.blocks[i] for i in sorted(self.block_ids))

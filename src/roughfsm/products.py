@@ -18,10 +18,15 @@ check that fed inputs are letters of the factors. Entry values multiply
 componentwise: lower with lower, upper with upper. Letters that select
 equal factor-entry pairs share one immutable entry.
 
-Products skip make_machine's validation walk: from well-formed factors
+Products skip make_machine's validation walk. The factors must be well
+formed, as make_machine and parse_machine return them; a machine built
+with Machine(...) directly is not checked here. From well-formed factors
 the table is total over the product grid, every side lies in the product
-space, and lower <= upper multiplies componentwise, so the result is
-well formed by construction (acceptance criterion 8 checks this).
+space, and lower <= upper multiplies componentwise. The alphabet is not
+empty and lists no letter twice: general_direct refuses an empty or
+repeating bridge carrier, and every other alphabet is built from the
+factors' nonempty ones. So the result is well formed by construction
+(acceptance criterion 8 checks this).
 """
 
 from __future__ import annotations
@@ -184,6 +189,8 @@ def restricted_direct(m1: Machine, m2: Machine) -> Machine:
 
 def general_direct(m1: Machine, m2: Machine, bridge: InputBridge) -> Machine:
     """An external alphabet drives both factors through the bridge's decoding."""
+    if not bridge.carrier:
+        raise BridgeTotalityError("bridge carrier lists no symbols")
     if len(set(bridge.carrier)) != len(bridge.carrier):
         raise BridgeTotalityError("bridge carrier lists a symbol twice")
     return _build(m1, m2, bridge.carrier, lambda q2, u: bridge.pair_for(u), f"general({m1.name},{m2.name})")

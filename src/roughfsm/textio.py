@@ -14,7 +14,8 @@ A machine document looks like:
 
 Names are single tokens without whitespace, braces or '#'. The machine
 line comes first; states, block, inputs and trans lines may follow in
-any order. The serializer
+any order, since transitions are resolved once the whole document is
+read. The serializer
 always writes the canonical order shown above, with blocks in block-id
 order and transitions sorted by state then symbol, so serialized
 documents diff cleanly and parse back to an equal machine.
@@ -27,17 +28,16 @@ The readers split each line once on whitespace, cutting a comment only
 where '#' occurs, and find a token's column only when raising
 ParseError. A transition line splits into keyword, state, input and
 tail text. A tail read before costs one lookup; a new one is cut into
-its lower and upper member texts (by slicing when it has the writer's
-spacing, by tokens otherwise) and resolved at once to block ids, each
-member text once. Trans lines resolve as they are read when the header
-comes before them, and after the last line otherwise; either way errors
-come in document order, semantic ones once every line has parsed. The
+its lower and upper member texts, by slicing when it has the writer's
+spacing and by tokens otherwise. Once every line has parsed, each
+distinct member text is resolved to block ids once; errors found then
+come after every error in reading the lines, in document order. The
 reader checks the machine's shape itself and calls validate_machine
 only to report a failed check.
 
 The writer renders each distinct entry and side once: it cuts a side's
 member-position mask into bytes and looks each up in a per-space table
-of member texts (the Method of Four Russians).
+of member names (the Method of Four Russians).
 """
 
 from __future__ import annotations
@@ -162,40 +162,10 @@ def parse_machine(text: str) -> Machine:
 
     The machine line's name becomes the machine's `name`.
     """
-    return _read_machine(text, early=True)
-
-
-def _read_machine(text: str, early: bool) -> Machine:
-    """parse_machine's reader; with `early`, trans lines resolve as they are read.
-
-    They do when the states, block and inputs lines come before the first
-    trans line. Otherwise every entry resolves after the last line, and a
-    block line after a trans line reads the document again with
-    early=False. Errors come in the same order either way: syntax errors
-    and duplicates as their lines are read, then a missing header line,
-    then the partition, then the entries in document order.
-    """
-    name = states = inputs = space = None
+    name = states = inputs = None
     blocks: list[list[str]] = []
-    entries = {}  # (state, symbol) -> line number of its trans line, in document order
-    tails = {}  # tail text -> its (lower, upper) member texts until resolved, then its RoughSet
-    deferred = []  # (state, symbol, line number, tail text) of the entries left to resolve at the end
-    table = {}
-    sides = {}  # member text -> its block ids
-    shared = {}  # (lower ids, upper ids) -> their one RoughSet
-    resolving = False  # whether trans lines resolve as they come
-    pending = None  # the first semantic error met while resolving, raised once every line has parsed
-
-    def settle(state, symbol, lineno, tail):
-        """Put the entry of a trans line in the table, its tail resolved on first use."""
-        if state not in space._position:
-            raise SemanticError(f"transition from unknown state {state} on line {lineno}")
-        if symbol not in symbols:
-            raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
-        r = tails[tail]
-        if r.__class__ is not RoughSet:
-            r = tails[tail] = _resolve(space, sides, shared, r, state, symbol, lineno)
-        table[state, symbol] = r
+    entries = {}  # (state, symbol) -> (line number, (lower, upper) member texts), in document order
+    tails = {}  # tail text -> its one (lower, upper) member texts
 
     for lineno, line, tokens in _rows(text, 3):
         keyword = tokens[0]
@@ -212,24 +182,13 @@ def _read_machine(text: str, early: bool) -> Machine:
             state, symbol, tail = _split_trans_line(tokens, line, lineno)
             if tail not in tails:
                 tails[tail] = _tail_sides(tokens, line, lineno)
+            texts = tails[tail]
             if (state, symbol) in entries:
                 raise SemanticError(
                     f"duplicate transition for ({state}, {symbol}) on line {lineno}"
-                    f" (first on line {entries[state, symbol]})"
+                    f" (first on line {entries[state, symbol][0]})"
                 )
-            entries[state, symbol] = lineno
-            if len(entries) == 1:  # the first trans line
-                resolving = early and states is not None and bool(blocks) and inputs is not None
-                if resolving:
-                    space, pending = _space(states, blocks)
-                    symbols = set(inputs)
-            if not resolving:
-                deferred.append((state, symbol, lineno, tail))
-            elif pending is None:
-                try:
-                    settle(state, symbol, lineno, tail)
-                except SemanticError as e:
-                    pending = e
+            entries[state, symbol] = (lineno, texts)
         elif keyword == "machine":
             raise ParseError("second machine line", lineno, _column(line, 0))
         elif keyword == "states":
@@ -241,8 +200,6 @@ def _read_machine(text: str, early: bool) -> Machine:
         elif keyword == "block":
             if len(tokens) == 1:
                 raise ParseError("block line lists no states", lineno, _column(line, 0))
-            if resolving:  # the partition resolved against so far is not the document's
-                return _read_machine(text, early=False)
             blocks.append(_names(tokens, 1, len(tokens), line, lineno, "state"))
         elif keyword == "inputs":
             if inputs is not None:
@@ -261,14 +218,25 @@ def _read_machine(text: str, early: bool) -> Machine:
         raise ParseError("missing block lines")
     if inputs is None:
         raise ParseError("missing inputs line")
-    if not resolving:
-        space, pending = _space(states, blocks)
-        symbols = set(inputs)
-        if pending is None:
-            for entry in deferred:
-                settle(*entry)
-    if pending is not None:
-        raise pending
+
+    try:
+        space = make_partition(states, blocks)
+    except (DuplicateState, NonPartition) as e:
+        raise SemanticError(str(e)) from e
+
+    symbols = set(inputs)
+    table = {}
+    sides = {}  # member text -> its block ids
+    shared = {}  # (lower ids, upper ids) -> their one RoughSet
+    rough = {}  # (lower, upper) member texts -> their RoughSet
+    for (state, symbol), (lineno, texts) in entries.items():
+        if state not in space._position:
+            raise SemanticError(f"transition from unknown state {state} on line {lineno}")
+        if symbol not in symbols:
+            raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
+        if texts not in rough:
+            rough[texts] = _resolve(space, sides, shared, texts, state, symbol, lineno)
+        table[state, symbol] = rough[texts]
 
     alphabet = tuple(inputs)
     # A table of distinct known entries is total iff it has one per grid cell; a repeated
@@ -278,16 +246,6 @@ def _read_machine(text: str, early: bool) -> Machine:
     ):
         make_machine(space, alphabet, table, name)  # raises SemanticError with validate_machine's violations
     return Machine(space, alphabet, table, name)
-
-
-def _space(states, blocks) -> tuple:
-    """(the partition of `states` into `blocks`, None), or (None, the SemanticError refusing it)."""
-    try:
-        return make_partition(states, blocks), None
-    except (DuplicateState, NonPartition) as e:
-        error = SemanticError(str(e))
-        error.__cause__ = e
-        return None, error
 
 
 def _resolve(space, sides: dict, shared: dict, texts, state, symbol, lineno) -> RoughSet:
@@ -337,7 +295,7 @@ def serialize_machine(machine: Machine) -> str:
     def side(d: DefinableSet) -> str:
         key = id(d.space), d.block_ids
         if key not in texts:
-            texts[key] = d.member_text()
+            texts[key] = " ".join(d.member_names() + ("",))  # each name followed by a space
         return texts[key]
 
     def sets_text(r: RoughSet) -> str:

@@ -244,6 +244,16 @@ class TestProduct:
         bridge = InputBridge(("u", "v"), {"u": ("a", "b"), "v": ("b", "a")})
         assert parse_machine(out) == general_direct(five_state, five_state, bridge)
 
+    def test_general_with_an_empty_bridge_exits_two(self, capsys, tmp_path, m5_path):
+        bridge_path = tmp_path / "empty.bridge"
+        bridge_path.write_text("# no symbols\n")
+        code, out, err = run_cli(
+            capsys, "product", m5_path, m5_path, "--kind", "general", "--bridge", str(bridge_path)
+        )
+        assert code == 2
+        assert err == "error: bridge carrier lists no symbols\n"
+        assert out == ""
+
     def test_cascade_needs_a_wiring(self, capsys, m5_path):
         code, out, err = run_cli(capsys, "product", m5_path, m5_path, "--kind", "cascade")
         assert code == 2

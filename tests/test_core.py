@@ -263,7 +263,6 @@ class TestDefinableSet:
             positions = sorted(space.position(q) for i in ids for q in space.blocks[i])
             assert d.states_ordered() == tuple(states[p] for p in positions)
             assert d.member_names() == tuple(value_name(states[p]) for p in positions)
-            assert d.member_text() == "".join(value_name(states[p]) + " " for p in positions)
 
     def test_cross_space_algebra_rejected(self):
         other = make_partition(["q1"], [["q1"]])

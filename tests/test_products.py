@@ -131,6 +131,10 @@ class TestGeneralDirect:
         with pytest.raises(BridgeTotalityError):
             general_direct(five_state, five_state, bridge)
 
+    def test_empty_carrier_rejected(self, five_state):
+        with pytest.raises(BridgeTotalityError, match="^bridge carrier lists no symbols$"):
+            general_direct(five_state, five_state, InputBridge((), {}))
+
     def test_unknown_decode_target_rejected(self, five_state):
         bad = InputBridge(("u",), {"u": ("a", "zz")})
         with pytest.raises(UnknownSymbol, match="^letter u at q1 feeds unknown second input zz$"):
