@@ -152,10 +152,11 @@ class ApproximationSpace:
 
     @cached_property
     def _id_sets(self) -> dict:
-        """Block-id frozensets seen by `definable` and `approximate`, each mapped to itself.
+        """Block-id frozensets seen by `definable`, `approximate` and machine runs, each mapped to itself.
 
-        Sets built there share one frozenset per distinct ids, so a
-        table that repeats a few block sets holds each of them once. It
+        Sets built there, and the rows of the block machines compiled for
+        runs, share one frozenset per distinct ids, so a table that
+        repeats a few block sets holds each of them once. It
         holds frozensets only, so it forms no reference cycle with the
         space.
         """
@@ -333,12 +334,13 @@ def is_realizable(space: ApproximationSpace, lower: DefinableSet, upper: Definab
     """
     if lower.space != space or upper.space != space:
         raise MismatchedSpace("definable sets belong to a different space")
-    if not lower <= upper:
-        return False
-    for i in upper.block_ids - lower.block_ids:
-        if len(space.blocks[i]) < 2:
-            return False
-    return True
+    return lower <= upper and _boundary_realizable(space, lower.block_ids, upper.block_ids)
+
+
+def _boundary_realizable(space: ApproximationSpace, lower: frozenset, upper: frozenset) -> bool:
+    """True iff every block of `upper` outside `lower` has at least two states."""
+    blocks = space.blocks
+    return all(len(blocks[i]) > 1 for i in upper - lower)
 
 
 def product_partition(first: ApproximationSpace, second: ApproximationSpace) -> ApproximationSpace:

@@ -7,6 +7,14 @@ successor states. Transitions extend from states to definable sets
 (thread the lower track through lowers and the upper track through
 uppers, starting from the block of the initial state).
 
+A run therefore only ever holds whole blocks, so it is a run of the
+block machine m/θ: one state per block, whose entry on a symbol is the
+union of the entries of the block's states (Hartmanis and Stearns,
+*Algebraic Structure Theory of Sequential Machines*, 1966). Each machine
+compiles m/θ one row at a time, on first use, and every run steps its
+rows, so a step costs one union per block of the current set, not one
+per state.
+
 Words are plain tuples of symbols; the empty tuple is the empty word.
 """
 
@@ -16,9 +24,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from operator import attrgetter, eq
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .core import ApproximationSpace, DefinableSet, RoughSet, is_realizable, value_name
+from .core import ApproximationSpace, DefinableSet, RoughSet, _boundary_realizable, value_name
 from .errors import MismatchedSpace, SemanticError, UnknownSymbol
 
 __all__ = [
@@ -56,7 +65,9 @@ class Violation:
 class Machine:
     """An input alphabet plus a rough transition table over a state space.
 
-    `table` maps (state, symbol) to a RoughSet over `space`. Machines are
+    `table` maps (state, symbol) to a RoughSet over `space`. It is a
+    read-only view of a copy of the mapping passed in, so the block
+    machine compiled from it for runs cannot go stale. Machines are
     value objects: two compare equal when their rendered state names,
     blocks and alphabets agree, so that block i of one prints as block i
     of the other, and each table entry holds the same block ids. A machine
@@ -71,9 +82,15 @@ class Machine:
     def __init__(self, space: ApproximationSpace, alphabet: Sequence, table: Mapping, name: str = "m"):
         self.space = space
         self.alphabet = tuple(alphabet)
-        self.table = dict(table)
+        self._table = dict(table)  # each_entry reads the dict: the view's get looks its method up per call
+        self.table = MappingProxyType(self._table)
         self.name = name
         self._symbol_index = {x: i for i, x in enumerate(self.alphabet)}
+        self._rows = _BlockMachine(self._table, space)
+
+    def __reduce__(self):
+        """Pickle and copy as the arguments that build the machine: a view does not pickle."""
+        return self.__class__, (self.space, self.alphabet, self._table, self.name)
 
     @property
     def states(self) -> tuple:
@@ -95,7 +112,7 @@ class Machine:
 
         f runs once per distinct entry object, told apart by identity while the table holds it.
         """
-        values, get = {}, self.table.get
+        values, get = {}, self._table.get
         for q in self.space.states:
             for x in self.alphabet:
                 r = get((q, x))
@@ -171,7 +188,7 @@ def _entry_problem(space: ApproximationSpace, strict: bool, r) -> str | None:
         return "entry lives in a different space"
     if not r.lower.block_ids <= r.upper.block_ids:
         return "lower approximation not contained in upper"
-    if strict and not is_realizable(space, r.lower, r.upper):
+    if strict and not _boundary_realizable(space, r.lower.block_ids, r.upper.block_ids):
         return "entry is not the approximation of any subset"
     return None
 
@@ -190,35 +207,74 @@ def make_machine(space: ApproximationSpace, alphabet: Sequence, table: Mapping, 
     return m
 
 
+_PARTS = (attrgetter("lower.block_ids"), attrgetter("upper.block_ids"))
+
+
+class _BlockMachine(dict):
+    """symbol -> its lower and upper `_Rows`: the block machine m/θ, compiled on first use.
+
+    It holds the table and the space, never the machine, so it forms no
+    reference cycle with it.
+    """
+
+    __slots__ = ("table", "space")
+
+    def __init__(self, table: Mapping, space: ApproximationSpace):
+        super().__init__()
+        self.table, self.space = table, space
+
+    def __missing__(self, symbol):
+        rows = self[symbol] = tuple(_Rows(self.table, self.space, symbol, part) for part in _PARTS)
+        return rows
+
+
+class _Rows(dict):
+    """block id -> the union of `part` over the entries of the block's states on `symbol`.
+
+    One side of one symbol of m/θ; each row is computed on first use and
+    shared through the space's id sets, because the rows of a machine
+    repeat a few block sets and live as long as the machine.
+    """
+
+    __slots__ = ("table", "space", "symbol", "part")
+
+    def __init__(self, table: Mapping, space: ApproximationSpace, symbol, part):
+        super().__init__()
+        self.table, self.space, self.symbol, self.part = table, space, symbol, part
+
+    def __missing__(self, i: int) -> frozenset:
+        table, symbol = self.table, self.symbol
+        row = frozenset().union(*(self.part(table[q, symbol]) for q in self.space.blocks[i]))
+        row = self[i] = self.space._id_sets.setdefault(row, row)
+        return row
+
+
 def _step(machine: Machine, low, up, symbol) -> tuple[frozenset, frozenset]:
     """The lower and upper block ids that block ids `low` and `up` step to on `symbol`.
 
-    The lower part is the union of the entry lowers over the states of
-    the blocks in `low`, the upper part that of the entry uppers over
-    the states of the blocks in `up`.
+    One step of m/θ: the lower part is the union of the lower rows of the
+    blocks in `low`, the upper part that of the upper rows of the blocks
+    in `up`, where a block's row is the union of its states' entry parts.
     """
-    blocks, table = machine.space.blocks, machine.table
-    low_acc, up_acc = set(), set()
-    for i in low:
-        for q in blocks[i]:
-            low_acc |= table[(q, symbol)].lower.block_ids
-    for i in up:
-        for q in blocks[i]:
-            up_acc |= table[(q, symbol)].upper.block_ids
-    return frozenset(low_acc), frozenset(up_acc)
+    lows, ups = machine._rows[symbol]
+    return frozenset().union(*map(lows.__getitem__, low)), frozenset().union(*map(ups.__getitem__, up))
 
 
 def _run(machine: Machine, ids: frozenset, word: Sequence) -> RoughSet:
-    """Thread the lower and the upper block ids of a run from block ids `ids`.
+    """Run m/θ on `word`, threading the lower and the upper block ids from block ids `ids`.
 
     Every symbol is checked against the alphabet, even when a track is
-    empty, and steps both tracks through `_step`.
+    empty, and steps both tracks through `_step`. The resulting ids go
+    through the space's shared id sets, so equal run results hold one
+    frozenset.
     """
     low = up = ids
     for symbol in word:
         machine.symbol_index(symbol)
         low, up = _step(machine, low, up, symbol)
-    return RoughSet(DefinableSet(machine.space, low), DefinableSet(machine.space, up))
+    space = machine.space
+    share = space._id_sets.setdefault
+    return RoughSet(DefinableSet(space, share(low, low)), DefinableSet(space, share(up, up)))
 
 
 def block_step(machine: Machine, current: DefinableSet, symbol) -> RoughSet:

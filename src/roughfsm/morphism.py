@@ -41,8 +41,9 @@ Both checks share one walker and one containment test: each block
 becomes an int with one bit per state of the side receiving the state
 map's image, and a part is contained in another when the OR of its
 block masks has no bit outside the OR of the other's. The two-letter
-pass steps block ids through `machine._step`, the step every run takes,
-memoized per machine for one check or one search.
+pass steps block ids through `machine._step`, the step every run takes:
+each machine compiles its block machine's rows once, and each check or
+search memoizes the configurations it steps.
 
 `search_coverings` assigns eta depth first, one m2 state at a time in
 declared order, trying m1's states in declared order, and keeps its own

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -258,6 +260,78 @@ class TestRunsAgainstTheReference:
                 w = tuple(rng.choice(m.alphabet) for _ in range(rng.randint(0, 4)))
                 assert self.states_of(word_step(m, q, w)) == oracles.block_run_reference(m, [q], w)
 
+    @pytest.mark.parametrize("n", (12, 60, 200))
+    def test_block_machine_runs_on_long_words(self, n):
+        rng = random.Random(1500 + n)
+        m = random_machine(rng, n_states=n, alphabet="abcd", min_block_size=2)
+        space = m.space
+        for length in (0, 1, 2, 7, 19, 40):
+            w = tuple(rng.choice("abcd") for _ in range(length))
+            q = rng.choice(space.states)
+            assert self.states_of(word_step(m, q, w)) == oracles.word_run_reference(m, q, w)
+            d = space.definable(rng.sample(range(space.n_blocks), rng.randint(1, 2)))
+            assert self.states_of(block_word_step(m, d, w)) == oracles.block_run_reference(m, d.states_set(), w)
+
+    def test_empty_word_and_empty_set(self):
+        m = random_machine(random.Random(12), n_states=12, alphabet="abcd", min_block_size=2)
+        space = m.space
+        for q in space.states:
+            assert word_step(m, q, ()) == RoughSet(space.block_of(q), space.block_of(q))
+        d = space.definable([0, space.n_blocks - 1])
+        assert block_word_step(m, d, ()) == RoughSet(d, d)
+        empty = space.empty_set()
+        assert block_word_step(m, empty, tuple("abcd" * 5)) == RoughSet(empty, empty)
+
+    def test_unknown_symbol_midword_with_an_empty_track(self):
+        # The states of the first block step on "a" to an empty lower part
+        # and a nonempty upper part, so the lower track is empty at "z".
+        generated = random_machine(random.Random(60), n_states=60, alphabet="abcd", min_block_size=2)
+        space = generated.space
+        table = dict(generated.table)
+        for q in space.blocks[0]:
+            table[q, "a"] = RoughSet(space.empty_set(), space.full_set())
+        m = Machine(space, generated.alphabet, table)
+        start = space.blocks[0][0]
+        assert not word_step(m, start, ("a",)).lower
+        for tail in ((), ("a", "b")):
+            with pytest.raises(UnknownSymbol):
+                word_step(m, start, ("a", "z") + tail)
+            with pytest.raises(UnknownSymbol):
+                block_word_step(m, space.block_of(start), ("a", "z") + tail)
+
+
+class TestTableSnapshot:
+    def test_table_is_read_only(self, five_state):
+        with pytest.raises(TypeError):
+            five_state.table[("q1", "a")] = five_state.table[("q1", "b")]
+        with pytest.raises(TypeError):
+            del five_state.table[("q1", "a")]
+
+    def test_later_changes_to_the_passed_table_change_nothing(self, five_state):
+        table = dict(five_state.table)
+        m = Machine(five_state.space, five_state.alphabet, table)
+        word = ("a", "b", "a")
+        before = [word_step(m, q, word) for q in m.space.states]
+        for key in table:
+            table[key] = RoughSet(m.space.empty_set(), m.space.empty_set())
+        assert dict(m.table) == dict(five_state.table)
+        assert [word_step(m, q, word) for q in m.space.states] == before
+
+    def test_pickles_and_copies_with_a_read_only_table(self, five_state):
+        for twin in (pickle.loads(pickle.dumps(five_state)), copy.deepcopy(five_state), copy.copy(five_state)):
+            assert twin == five_state and twin.name == five_state.name
+            assert word_step(twin, "q1", ("a", "b")) == word_step(five_state, "q1", ("a", "b"))
+            with pytest.raises(TypeError):
+                twin.table[("q1", "a")] = twin.table[("q1", "b")]
+
+    def test_equal_run_results_share_their_block_ids(self, five_state):
+        first, second = word_step(five_state, "q3", ("a", "b")), word_step(five_state, "q5", ("a", "b"))
+        assert first == second
+        assert first.lower.block_ids is second.lower.block_ids
+        assert first.upper.block_ids is second.upper.block_ids
+        whole = block_word_step(five_state, five_state.space.block_of("q3"), ("a", "b"))
+        assert whole.upper.block_ids is first.upper.block_ids
+
 
 class TestDecompositionLaw:
     """Splitting a word anywhere and rerunning from the midpoint agrees."""
@@ -354,6 +428,32 @@ class TestValidateMachine:
                 (q, x, "lower approximation not contained in upper")
                 for q, x in [("q1", "a"), ("q3", "a"), ("q4", "b")]
             ]
+
+    def test_strict_reports_one_problem_per_entry(self, five_state):
+        # Each broken entry gets its first problem only; the boundary test
+        # runs on the well-formed entries, and is_realizable keeps its own
+        # checks for outside callers.
+        space = five_state.space
+        other = make_partition(["z1", "z2"], [["z1", "z2"]])
+        inverted = RoughSet(space.full_set(), space.empty_set())
+        table = dict(five_state.table)
+        table[("q1", "a")] = RoughSet(other.full_set(), other.full_set())
+        table[("q2", "b")] = inverted
+        del table[("q4", "a")]
+        m = Machine(space, five_state.alphabet, table)
+        found = [(v.state, v.symbol, v.reason) for v in validate_machine(m, strict=True)]
+        assert found == [
+            ("q1", "a", "entry lives in a different space"),
+            ("q2", "b", "lower approximation not contained in upper"),
+            ("q3", "b", "entry is not the approximation of any subset"),
+            ("q4", "a", "missing table entry"),
+        ]
+        assert [v for v in found if v[:2] != ("q3", "b")] == [
+            (v.state, v.symbol, v.reason) for v in validate_machine(m)
+        ]
+        assert not is_realizable(space, inverted.lower, inverted.upper)
+        with pytest.raises(MismatchedSpace):
+            is_realizable(space, other.full_set(), other.full_set())
 
     def test_non_rough_entry_and_foreign_space_reported(self):
         space = make_partition(["q1"], [["q1"]])
