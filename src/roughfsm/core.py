@@ -7,11 +7,12 @@ blocks contained in A and from above by the union of the blocks meeting
 A. The pair of approximations is a rough set; sets that equal their own
 approximations (unions of blocks) are definable.
 
-Definable sets are stored as frozensets of block ids, never of raw
-states, so set algebra stays exact and cheap. All types are immutable
+A definable set is one int, its block mask: bit i stands for block i.
+Masks are read here: as ids, states or names a byte at a time, and as
+ORs of per-block ints bit by bit (`_union`). All types are immutable
 values: equal content compares equal and can be used in dicts and sets.
 A space renders its state names once, on first use of `names`, so
-writing or comparing a table costs one dict or tuple lookup per member.
+writing or comparing a table costs one lookup per member.
 """
 
 from __future__ import annotations
@@ -109,6 +110,14 @@ class ApproximationSpace:
         return tuple(sum(map(self.state_bits.__getitem__, cell)) for cell in self.blocks)
 
     @cached_property
+    def _id_runs(self) -> "_ByteRuns":
+        return _ByteRuns(range(self.n_blocks))
+
+    @cached_property
+    def _mask_sums(self) -> "_ByteRuns":
+        return _ByteRuns(self.block_masks, sum)  # blocks are disjoint
+
+    @cached_property
     def _state_runs(self) -> "_ByteRuns":
         return _ByteRuns(self.states)
 
@@ -135,72 +144,95 @@ class ApproximationSpace:
 
     def block_of(self, state) -> "DefinableSet":
         """The block containing `state`, as a definable set."""
-        return DefinableSet(self, frozenset((self.block_id(state),)))
+        return DefinableSet(self, 1 << self.block_id(state))
 
     def empty_set(self) -> "DefinableSet":
-        return DefinableSet(self, frozenset())
+        return DefinableSet(self, 0)
 
     def full_set(self) -> "DefinableSet":
-        return DefinableSet(self, frozenset(range(self.n_blocks)))
+        return DefinableSet(self, (1 << self.n_blocks) - 1)
 
     def definable(self, block_ids: Iterable[int]) -> "DefinableSet":
-        ids = frozenset(block_ids)
-        for i in ids:
-            if not 0 <= i < self.n_blocks:
-                raise NonPartition(f"no block with id {i}")
-        return DefinableSet(self, self._id_sets.setdefault(ids, ids))
+        ids, n = frozenset(block_ids), self.n_blocks
+        if ids and not 0 <= min(ids) <= max(ids) < n:  # checked before shifting: 1 << -1 raises ValueError
+            raise NonPartition(f"no block with id {next(i for i in ids if not 0 <= i < n)}")
+        return DefinableSet(self, _bits(ids))
 
-    @cached_property
-    def _id_sets(self) -> dict:
-        """Block-id frozensets seen by `definable`, `approximate` and machine runs, each mapped to itself.
-
-        Sets built there, and the rows of the block machines compiled for
-        runs, share one frozenset per distinct ids, so a table that
-        repeats a few block sets holds each of them once. It
-        holds frozensets only, so it forms no reference cycle with the
-        space.
-        """
-        return {}
+    def ids(self, bits: int) -> tuple[int, ...]:
+        """The block ids of the set bits of the block mask `bits`, ascending."""
+        return tuple(chain.from_iterable(self._id_runs.per_byte(bits)))
 
 
 class _ByteRuns(dict):
-    """The values at the set bits of byte k of a position mask, keyed 256 * k + byte.
+    """`join` of the values at the set bits of byte k of a mask, keyed 256 * k + byte.
 
-    Bit i of byte k stands for position 8 * k + i, so one lookup per byte
-    lists a set's members in declared order without sorting them (the
-    Method of Four Russians). Filled on first use of each key.
+    Bit i of byte k stands for value 8 * k + i, so one lookup per byte
+    lists a set's members or blocks in order, or sums their masks,
+    without sorting (the Method of Four Russians). Filled on first use.
     """
 
-    def __init__(self, values: tuple):
+    def __init__(self, values, join=tuple):
         super().__init__()
-        self.values = values
+        self.values, self.join = values, join
 
-    def __missing__(self, key: int) -> tuple:
+    def __missing__(self, key: int):
         k, byte = divmod(key, 256)
-        run = self[key] = tuple(self.values[8 * k + i] for i in range(8) if byte >> i & 1)
+        run = self[key] = self.join(self.values[8 * k + i] for i in range(8) if byte >> i & 1)
         return run
 
+    def per_byte(self, mask: int):
+        """The entries for the bytes of `mask`, low byte first."""
+        n = (mask.bit_length() + 7) // 8
+        return map(self.__getitem__, map(add, range(0, 256 * n, 256), mask.to_bytes(n, "little")))
 
-@dataclass(frozen=True, slots=True)
+
+def _union(masks, bits: int) -> int:
+    """The OR of masks[i] over the set bits i of the block mask `bits`.
+
+    Walking the set bits beats a byte-table read on the few-bit masks of runs and checks.
+    """
+    out = 0
+    while bits:
+        bit = bits & -bits
+        out |= masks[bit.bit_length() - 1]
+        bits ^= bit
+    return out
+
+
+def _bits(ids) -> int:
+    """The block mask of distinct, valid block ids."""
+    return sum(map((1).__lshift__, ids))
+
+
+@dataclass(frozen=True)
 class DefinableSet:
     """A union of blocks of one approximation space.
 
-    The value is the frozenset of block ids; the space pins down what the
-    ids mean. Supports |, & and <= against sets of the same space.
+    The value is `bits`, the block mask, and the space pins down what
+    its bits mean; `block_ids` is derived on each read. Supports |, &, -
+    and <= against sets of the same space.
     """
 
+    # Not slots=True, whose copy of the class makes assigning `block_ids` raise
+    # TypeError, not AttributeError. Pickle and copy go through __init__.
+    __slots__ = ("space", "bits")
     space: ApproximationSpace
-    block_ids: frozenset[int]
+    bits: int
+
+    def __reduce__(self):
+        return self.__class__, (self.space, self.bits)
+
+    @property
+    def block_ids(self) -> frozenset[int]:
+        return frozenset(self.space.ids(self.bits))
 
     def states_set(self) -> frozenset:
-        return frozenset(q for i in self.block_ids for q in self.space.blocks[i])
+        return frozenset(chain.from_iterable(self.blocks_ordered()))
 
     def _in_order(self, runs: _ByteRuns) -> tuple:
         """The `runs` values at the members' positions, in declared order."""
-        mask = sum(map(self.space.block_masks.__getitem__, self.block_ids))  # blocks are disjoint
-        n = (len(self.space.states) + 7) // 8
-        keys = map(add, range(0, 256 * n, 256), mask.to_bytes(n, "little"))
-        return tuple(chain.from_iterable(map(runs.__getitem__, keys)))
+        positions = sum(self.space._mask_sums.per_byte(self.bits))
+        return tuple(chain.from_iterable(runs.per_byte(positions)))
 
     def states_ordered(self) -> tuple:
         return self._in_order(self.space._state_runs)
@@ -210,33 +242,33 @@ class DefinableSet:
         return self._in_order(self.space._name_runs)
 
     def blocks_ordered(self) -> tuple[tuple, ...]:
-        return tuple(self.space.blocks[i] for i in sorted(self.block_ids))
+        return tuple(map(self.space.blocks.__getitem__, self.space.ids(self.bits)))
 
     def _check_space(self, other: "DefinableSet"):
         if self.space != other.space:
             raise MismatchedSpace("definable sets live in different spaces")
 
     def __contains__(self, state) -> bool:
-        return self.space.block_id(state) in self.block_ids
+        return bool(self.bits >> self.space.block_id(state) & 1)
 
     def __bool__(self) -> bool:
-        return bool(self.block_ids)
+        return bool(self.bits)
 
     def __le__(self, other: "DefinableSet") -> bool:
         self._check_space(other)
-        return self.block_ids <= other.block_ids
+        return not self.bits & ~other.bits
 
     def __or__(self, other: "DefinableSet") -> "DefinableSet":
         self._check_space(other)
-        return DefinableSet(self.space, self.block_ids | other.block_ids)
+        return DefinableSet(self.space, self.bits | other.bits)
 
     def __and__(self, other: "DefinableSet") -> "DefinableSet":
         self._check_space(other)
-        return DefinableSet(self.space, self.block_ids & other.block_ids)
+        return DefinableSet(self.space, self.bits & other.bits)
 
     def __sub__(self, other: "DefinableSet") -> "DefinableSet":
         self._check_space(other)
-        return DefinableSet(self.space, self.block_ids - other.block_ids)
+        return DefinableSet(self.space, self.bits & ~other.bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,7 +295,7 @@ class RoughSet:
         return self.upper - self.lower
 
     def is_exact(self) -> bool:
-        return self.lower.block_ids == self.upper.block_ids
+        return self.lower.bits == self.upper.bits
 
 
 def make_partition(states: Iterable, cells: Iterable[Iterable]) -> ApproximationSpace:
@@ -304,24 +336,23 @@ def approximate(space: ApproximationSpace, members: Iterable) -> RoughSet:
         upper = frozenset(map(space._block_id.__getitem__, subset))
     except KeyError as e:
         raise UnknownState(f"unknown state {value_name(e.args[0])}") from None
-    lower = frozenset(i for i in upper if subset.issuperset(space.blocks[i]))
-    lower, upper = (space._id_sets.setdefault(ids, ids) for ids in (lower, upper))
-    return RoughSet(DefinableSet(space, lower), DefinableSet(space, upper))
+    lower = [i for i in upper if subset.issuperset(space.blocks[i])]
+    return RoughSet(DefinableSet(space, _bits(lower)), DefinableSet(space, _bits(upper)))
 
 
-def union_block_ids(space: ApproximationSpace, members: Iterable) -> frozenset[int] | None:
-    """The ids of the blocks a subset meets when it is their union, else None."""
+def union_bits(space: ApproximationSpace, members: Iterable) -> int | None:
+    """The block mask of the blocks a subset meets when it is their union, else None."""
     subset = set(members)
     try:
         ids = frozenset(map(space._block_id.__getitem__, subset))
     except KeyError as e:
         raise UnknownState(f"unknown state {value_name(e.args[0])}") from None
-    return ids if len(subset) == sum(map(len, map(space.blocks.__getitem__, ids))) else None
+    return _bits(ids) if len(subset) == sum(map(len, map(space.blocks.__getitem__, ids))) else None
 
 
 def is_definable(space: ApproximationSpace, members: Iterable) -> bool:
     """True iff the subset is a union of blocks: it has as many distinct members as the blocks it meets."""
-    return union_block_ids(space, members) is not None
+    return union_bits(space, members) is not None
 
 
 def is_realizable(space: ApproximationSpace, lower: DefinableSet, upper: DefinableSet) -> bool:
@@ -334,13 +365,12 @@ def is_realizable(space: ApproximationSpace, lower: DefinableSet, upper: Definab
     """
     if lower.space != space or upper.space != space:
         raise MismatchedSpace("definable sets belong to a different space")
-    return lower <= upper and _boundary_realizable(space, lower.block_ids, upper.block_ids)
+    return lower <= upper and _boundary_realizable(space, lower.bits, upper.bits)
 
 
-def _boundary_realizable(space: ApproximationSpace, lower: frozenset, upper: frozenset) -> bool:
-    """True iff every block of `upper` outside `lower` has at least two states."""
-    blocks = space.blocks
-    return all(len(blocks[i]) > 1 for i in upper - lower)
+def _boundary_realizable(space: ApproximationSpace, lower: int, upper: int) -> bool:
+    """True iff every block of block mask `upper` outside `lower` has at least two states."""
+    return all(len(space.blocks[i]) > 1 for i in space.ids(upper & ~lower))
 
 
 def product_partition(first: ApproximationSpace, second: ApproximationSpace) -> ApproximationSpace:

@@ -11,9 +11,9 @@ A run therefore only ever holds whole blocks, so it is a run of the
 block machine m/θ: one state per block, whose entry on a symbol is the
 union of the entries of the block's states (Hartmanis and Stearns,
 *Algebraic Structure Theory of Sequential Machines*, 1966). Each machine
-compiles m/θ one row at a time, on first use, and every run steps its
-rows, so a step costs one union per block of the current set, not one
-per state.
+compiles m/θ one symbol at a time, on first use, and every run steps
+its rows. Runs hold block masks, so a step costs one OR per block of
+the current set, not one union per state.
 
 Words are plain tuples of symbols; the empty tuple is the empty word.
 """
@@ -21,13 +21,13 @@ Words are plain tuples of symbols; the empty tuple is the empty word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import product
-from operator import attrgetter, eq
+from operator import attrgetter, eq, or_
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .core import ApproximationSpace, DefinableSet, RoughSet, _boundary_realizable, value_name
+from .core import ApproximationSpace, DefinableSet, RoughSet, _boundary_realizable, _union, value_name
 from .errors import MismatchedSpace, SemanticError, UnknownSymbol
 
 __all__ = [
@@ -86,7 +86,7 @@ class Machine:
         self.table = MappingProxyType(self._table)
         self.name = name
         self._symbol_index = {x: i for i, x in enumerate(self.alphabet)}
-        self._rows = _BlockMachine(self._table, space)
+        self._rows = _BlockMachine((self._table, space))
 
     def __reduce__(self):
         """Pickle and copy as the arguments that build the machine: a view does not pickle."""
@@ -137,11 +137,11 @@ class Machine:
         return names, blocks, symbols, tuple((q, x, cell) for (q, x), cell in cells)
 
     def __eq__(self, other):
-        """Equal printed names, then entry block ids compared in table order up to the first difference."""
+        """Equal printed names, then entry block masks compared in table order up to the first difference."""
         if not isinstance(other, Machine):
             return NotImplemented
-        ids = attrgetter("block_ids")
-        return self.printed_names() == other.printed_names() and all(map(eq, self._parts(ids), other._parts(ids)))
+        bits = attrgetter("bits")
+        return self.printed_names() == other.printed_names() and all(map(eq, self._parts(bits), other._parts(bits)))
 
     def __repr__(self):
         return (
@@ -186,9 +186,9 @@ def _entry_problem(space: ApproximationSpace, strict: bool, r) -> str | None:
         return "entry is not a rough set"
     if not (r.lower.space is space is r.upper.space or r.lower.space == space == r.upper.space):
         return "entry lives in a different space"
-    if not r.lower.block_ids <= r.upper.block_ids:
+    if r.lower.bits & ~r.upper.bits:
         return "lower approximation not contained in upper"
-    if strict and not _boundary_realizable(space, r.lower.block_ids, r.upper.block_ids):
+    if strict and not _boundary_realizable(space, r.lower.bits, r.upper.bits):
         return "entry is not the approximation of any subset"
     return None
 
@@ -207,74 +207,56 @@ def make_machine(space: ApproximationSpace, alphabet: Sequence, table: Mapping, 
     return m
 
 
-_PARTS = (attrgetter("lower.block_ids"), attrgetter("upper.block_ids"))
+_PARTS = (attrgetter("lower.bits"), attrgetter("upper.bits"))
 
 
-class _BlockMachine(dict):
-    """symbol -> its lower and upper `_Rows`: the block machine m/θ, compiled on first use.
+class _Memo(dict):
+    """Values worked out from `of` for each key on first use; it builds faster than `functools.cache`."""
 
-    It holds the table and the space, never the machine, so it forms no
-    reference cycle with it.
+    __slots__ = ("of",)
+
+    def __init__(self, of):
+        super().__init__()
+        self.of = of
+
+
+class _BlockMachine(_Memo):
+    """symbol -> its lower and upper rows: the block machine m/θ of the (table, space) `of`.
+
+    A row holds, per block, the OR of one part of its states' entries.
+    Holding no machine, it forms no reference cycle with one.
     """
 
-    __slots__ = ("table", "space")
-
-    def __init__(self, table: Mapping, space: ApproximationSpace):
-        super().__init__()
-        self.table, self.space = table, space
-
     def __missing__(self, symbol):
-        rows = self[symbol] = tuple(_Rows(self.table, self.space, symbol, part) for part in _PARTS)
+        table, space = self.of
+        rows = self[symbol] = tuple(
+            tuple(reduce(or_, (part(table[q, symbol]) for q in cell), 0) for cell in space.blocks) for part in _PARTS
+        )
         return rows
 
 
-class _Rows(dict):
-    """block id -> the union of `part` over the entries of the block's states on `symbol`.
+def _step(machine: Machine, low: int, up: int, symbol) -> tuple[int, int]:
+    """The lower and upper block masks that block masks `low` and `up` step to on `symbol`.
 
-    One side of one symbol of m/θ; each row is computed on first use and
-    shared through the space's id sets, because the rows of a machine
-    repeat a few block sets and live as long as the machine.
-    """
-
-    __slots__ = ("table", "space", "symbol", "part")
-
-    def __init__(self, table: Mapping, space: ApproximationSpace, symbol, part):
-        super().__init__()
-        self.table, self.space, self.symbol, self.part = table, space, symbol, part
-
-    def __missing__(self, i: int) -> frozenset:
-        table, symbol = self.table, self.symbol
-        row = frozenset().union(*(self.part(table[q, symbol]) for q in self.space.blocks[i]))
-        row = self[i] = self.space._id_sets.setdefault(row, row)
-        return row
-
-
-def _step(machine: Machine, low, up, symbol) -> tuple[frozenset, frozenset]:
-    """The lower and upper block ids that block ids `low` and `up` step to on `symbol`.
-
-    One step of m/θ: the lower part is the union of the lower rows of the
+    One step of m/θ: the lower part is the OR of the lower rows of the
     blocks in `low`, the upper part that of the upper rows of the blocks
-    in `up`, where a block's row is the union of its states' entry parts.
+    in `up`, where a block's row is the OR of its states' entry parts.
     """
     lows, ups = machine._rows[symbol]
-    return frozenset().union(*map(lows.__getitem__, low)), frozenset().union(*map(ups.__getitem__, up))
+    return _union(lows, low), _union(ups, up)
 
 
-def _run(machine: Machine, ids: frozenset, word: Sequence) -> RoughSet:
-    """Run m/θ on `word`, threading the lower and the upper block ids from block ids `ids`.
+def _run(machine: Machine, bits: int, word: Sequence) -> tuple[int, int]:
+    """Run m/θ on `word` from block mask `bits`: the lower and the upper block mask it ends in.
 
     Every symbol is checked against the alphabet, even when a track is
-    empty, and steps both tracks through `_step`. The resulting ids go
-    through the space's shared id sets, so equal run results hold one
-    frozenset.
+    empty, and steps both tracks through `_step`.
     """
-    low = up = ids
+    low = up = bits
     for symbol in word:
         machine.symbol_index(symbol)
         low, up = _step(machine, low, up, symbol)
-    space = machine.space
-    share = space._id_sets.setdefault
-    return RoughSet(DefinableSet(space, share(low, low)), DefinableSet(space, share(up, up)))
+    return low, up
 
 
 def block_step(machine: Machine, current: DefinableSet, symbol) -> RoughSet:
@@ -291,9 +273,11 @@ def word_step(machine: Machine, state, word: Sequence) -> RoughSet:
 
     After the first symbol the lower track continues through the lowers
     of block transitions and the upper track through the uppers, each
-    fed its own current set.
+    fed its own current set. Equal tracks share one set.
     """
-    return _run(machine, machine.space.block_of(state).block_ids, word)
+    low, up = _run(machine, machine.space.block_of(state).bits, word)
+    lower = DefinableSet(machine.space, low)
+    return RoughSet(lower, lower if up == low else DefinableSet(machine.space, up))
 
 
 def block_word_step(machine: Machine, current: DefinableSet, word: Sequence) -> RoughSet:
@@ -302,8 +286,10 @@ def block_word_step(machine: Machine, current: DefinableSet, word: Sequence) -> 
     This equals the union of the word runs from the set's states. Every
     step is a union of entry parts over the current states, so it
     distributes over unions of start sets; and the blocks of the states
-    of a definable set make up the set itself.
+    of a definable set make up the set itself. Equal tracks share one set.
     """
     if current.space != machine.space:
         raise MismatchedSpace("definable set belongs to a different space")
-    return _run(machine, current.block_ids, word)
+    low, up = _run(machine, current.bits, word)
+    lower = DefinableSet(machine.space, low)
+    return RoughSet(lower, lower if up == low else DefinableSet(machine.space, up))

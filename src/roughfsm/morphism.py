@@ -39,11 +39,11 @@ reports with exit code 2.
 
 Both checks share one walker and one containment test: each block
 becomes an int with one bit per state of the side receiving the state
-map's image, and a part is contained in another when the OR of its
-block masks has no bit outside the OR of the other's. The two-letter
-pass steps block ids through `machine._step`, the step every run takes:
-each machine compiles its block machine's rows once, and each check or
-search memoizes the configurations it steps.
+map's image, and a part, a block mask, is contained in another when the
+OR of its blocks' ints, worked out once per check, has no bit outside
+the OR of the other's. The two-letter pass steps block masks through
+`machine._step`, the step every run takes, and each check or search
+memoizes the configurations it steps.
 
 `search_coverings` assigns eta depth first, one m2 state at a time in
 declared order, trying m1's states in declared order, and keeps its own
@@ -62,9 +62,9 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Mapping
 
-from .core import ApproximationSpace, value_name
+from .core import ApproximationSpace, _union, value_name
 from .errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
-from .machine import Machine, _step
+from .machine import Machine, _Memo, _step
 
 __all__ = [
     "MorphismPair",
@@ -157,8 +157,8 @@ def _require_depth(depth: int):
 
 
 def _image_masks(space: ApproximationSpace, mapping: Mapping, target: ApproximationSpace) -> list[int]:
-    """Per block of `space`, the OR of target.state_bits over its members' images."""
-    return [_mask(target.state_bits, map(mapping.__getitem__, cell)) for cell in space.blocks]
+    """Per block of `space`, the OR of target.state_bits over its members' images: a sum of distinct bits."""
+    return [sum(set(map(target.state_bits.__getitem__, map(mapping.__getitem__, cell)))) for cell in space.blocks]
 
 
 def _blocks_respected(space, mapping: Mapping, target, image: list[int]) -> CheckResult:
@@ -172,49 +172,36 @@ def _blocks_respected(space, mapping: Mapping, target, image: list[int]) -> Chec
     return CheckResult(True)
 
 
-def _mask(masks, ids) -> int:
-    """The OR of masks[i] over i in `ids`."""
-    out = 0
-    for i in ids:
-        out |= masks[i]
-    return out
-
-
-def _escape(low1, up1, low2, up2, masks1, masks2):
+def _escape(low1, up1, low2, up2, unions1, unions2):
     """"lower" or "upper" for the first part of side 1 not inside side 2's, else None.
 
-    Each part is a set of block ids; inside means that the OR of the
-    part's masks1 has no bit outside the OR of side 2's part's masks2.
+    Each part is a block mask; inside means that its union in `unions1`
+    has no bit outside the union of side 2's part in `unions2`.
     """
-    for side, d1, d2 in (("lower", low1, low2), ("upper", up1, up2)):
-        inner = outer = 0
-        for i in d1:
-            inner |= masks1[i]
-        for j in d2:
-            outer |= masks2[j]
-        if inner & ~outer:
-            return side
+    if unions1[low1] & ~unions2[low2]:
+        return "lower"
+    if unions1[up1] & ~unions2[up2]:
+        return "upper"
     return None
 
 
-class _Steps(dict):
-    """(lower ids, upper ids, symbol) -> `machine._step` of `machine` on them.
+class _Unions(_Memo):
+    """Block mask -> its `_union` over `of`, one int per block: each part once per check."""
 
-    Each key is computed on first use. A dict subclass costs a fraction
-    of a microsecond to build per check, where `functools.cache` spends
-    microseconds copying wrapper attributes, a few percent of a check.
-    """
-
-    def __init__(self, machine: Machine):
-        super().__init__()
-        self.machine = machine
-
-    def __missing__(self, key):
-        out = self[key] = _step(self.machine, *key)
+    def __missing__(self, key: int) -> int:
+        out = self[key] = _union(self.of, key)
         return out
 
 
-def _walk(m1: Machine, m2: Machine, pairs, input_map, masks, reason: str, depth: int) -> CheckResult:
+class _Steps(_Memo):
+    """(lower mask, upper mask, symbol) -> `machine._step` of the machine `of` on them."""
+
+    def __missing__(self, key):
+        out = self[key] = _step(self.of, *key)
+        return out
+
+
+def _walk(m1: Machine, m2: Machine, pairs, input_map, unions, reason: str, depth: int) -> CheckResult:
     """Check that m1's entries and runs lie inside m2's along `pairs`.
 
     Each (q, q1, q2) pairs q1 of m1 with q2 of m2; a failure names q and
@@ -225,31 +212,29 @@ def _walk(m1: Machine, m2: Machine, pairs, input_map, masks, reason: str, depth:
     for q, q1, q2 in pairs:
         for x in m1.alphabet:
             e1, e2 = m1.table[(q1, x)], m2.table[(q2, input_map[x])]
-            side = _escape(
-                e1.lower.block_ids, e1.upper.block_ids, e2.lower.block_ids, e2.upper.block_ids, *masks
-            )
+            side = _escape(e1.lower.bits, e1.upper.bits, e2.lower.bits, e2.upper.bits, *unions)
             if side:
                 return CheckResult(False, reason.format(side=side), (q, x))
     if depth < 2:
         return CheckResult(True)
-    return _words(_Steps(m1), _Steps(m2), pairs, input_map, masks, reason)
+    return _words(_Steps(m1), _Steps(m2), pairs, input_map, unions, reason)
 
 
-def _words(steps1, steps2, pairs, input_map, masks, reason: str) -> CheckResult:
+def _words(steps1, steps2, pairs, input_map, unions, reason: str) -> CheckResult:
     """Check the runs of every two-letter word along `pairs`, whose letters have passed.
 
     Raises BudgetExceeded above _BUDGET word runs, |pairs| * |X1|^2,
     before anything runs. A start whose side-1 block lies inside the
     image of its side-2 block stays inside on every word (see the module
     docstring), so only the other starts run. A run's configuration, the
-    lower and upper block ids of both runs, steps from the distinct start
-    blocks by a letter, each machine's half through its memoized
+    lower and upper block masks of both runs, steps from the distinct
+    start blocks by a letter, each machine's half through its memoized
     `machine._step` in `steps1` or `steps2`, and each distinct
-    configuration is checked once. Runs go in (word in alphabet order,
-    state order), so the first failure is the one a word-by-word
-    enumeration meets first.
+    configuration is checked once against `unions`. Runs go in (word in
+    alphabet order, state order), so the first failure is the one a
+    word-by-word enumeration meets first.
     """
-    alphabet = steps1.machine.alphabet
+    alphabet = steps1.of.alphabet
     size = len(pairs) * len(alphabet) ** 2
     if size > _BUDGET:
         raise BudgetExceeded(size, _BUDGET, what="word runs")
@@ -259,12 +244,11 @@ def _words(steps1, steps2, pairs, input_map, masks, reason: str) -> CheckResult:
         return steps1[low1, up1, x] + steps2[low2, up2, input_map[x]]
 
     starts = {}
-    masks1, masks2 = masks
-    id1, id2 = steps1.machine.space._block_id, steps2.machine.space._block_id
+    unions1, unions2 = unions
+    id1, id2 = steps1.of.space._block_id, steps2.of.space._block_id
     for q, q1, q2 in pairs:
-        i, j = id1[q1], id2[q2]
-        if masks1[i] & ~masks2[j]:
-            b1, b2 = frozenset((i,)), frozenset((j,))
+        b1, b2 = 1 << id1[q1], 1 << id2[q2]
+        if unions1[b1] & ~unions2[b2]:
             starts.setdefault((b1, b1, b2, b2), q)
     if not starts:
         return CheckResult(True)
@@ -275,7 +259,7 @@ def _words(steps1, steps2, pairs, input_map, masks, reason: str) -> CheckResult:
                 config = step(step(start, x), y)
                 if config not in checked:
                     checked.add(config)
-                    side = _escape(*config, *masks)
+                    side = _escape(*config, *unions)
                     if side:
                         return CheckResult(False, reason.format(side=side), (q, (x, y)))
     return CheckResult(True)
@@ -297,8 +281,8 @@ def check_homomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckRes
         return respected
     states = m1.space.states
     pairs = list(zip(states, states, map(f.__getitem__, states)))
-    masks = (image, m2.space.block_masks)
-    return _walk(m1, m2, pairs, pair.input_map, masks, "{side} image escapes the target {side}", 1)
+    unions = (_Unions(image), _Unions(m2.space.block_masks))
+    return _walk(m1, m2, pairs, pair.input_map, unions, "{side} image escapes the target {side}", 1)
 
 
 def check_isomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckResult:
@@ -347,10 +331,10 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     respected = _blocks_respected(m2.space, eta, m1.space, image)
     if not respected:
         return respected
-    masks = (m1.space.block_masks, image)
+    unions = (_Unions(m1.space.block_masks), _Unions(image))
     states = m2.space.states
     pairs = list(zip(states, map(eta.__getitem__, states), states))
-    return _walk(m1, m2, pairs, pair.input_map, masks, _COVERED, depth)
+    return _walk(m1, m2, pairs, pair.input_map, unions, _COVERED, depth)
 
 
 def _strike(cands, checks, image, rows1, eta):
@@ -420,10 +404,10 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 2, budget: int = _BU
     space1, space2 = m1.space, m2.space
     states1, states2 = space1.states, space2.states
     n1, n2 = len(states1), len(states2)
-    masks1 = space1.block_masks
+    unions1 = _Unions(space1.block_masks)
     # Per m1 state position, per letter of m1: (lower, upper) state masks.
     rows1 = [
-        [(_mask(masks1, r.lower.block_ids), _mask(masks1, r.upper.block_ids)) for r in row]
+        [(unions1[r.lower.bits], unions1[r.upper.bits]) for r in row]
         for row in ([m1.table[(q, x)] for x in m1.alphabet] for q in states1)
     ]
     home1 = [sorted(space1.block_positions[space1._block_id[q]]) for q in states1]
@@ -437,10 +421,10 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 2, budget: int = _BU
     checks = [[] for _ in range(n2)]
     position2, letter_bit = space2._position, {y: 1 << i for i, y in enumerate(m2.alphabet)}
     for (q2, y), r in m2.table.items():
-        low, up = r.lower.block_ids, r.upper.block_ids
-        d = max(map(last2.__getitem__, low | up), default=0)
+        low, up = r.lower.bits, r.upper.bits
+        d = max(map(last2.__getitem__, space2.ids(low | up)), default=0)
         d = max(d, position2[q2])
-        checks[d].append((position2[q2], letter_bit[y], low, up))
+        checks[d].append((position2[q2], letter_bit[y], space2.ids(low), space2.ids(up)))
 
     found = []
     steps = (_Steps(m1), _Steps(m2))
@@ -485,9 +469,9 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 2, budget: int = _BU
         eta_map = {q: states1[j] for q, j in zip(states2, eta)}
         choices = [[y for y in m2.alphabet if cx & letter_bit[y]] for cx in c]
         pairs = list(zip(states2, eta_map.values(), states2))
-        masks = (masks1, image)
+        unions = (unions1, _Unions(tuple(image)))
         for g_values in iter_product(*choices):
             xi = dict(zip(m1.alphabet, g_values))
-            if depth < 2 or _words(*steps, pairs, xi, masks, _COVERED):
+            if depth < 2 or _words(*steps, pairs, xi, unions, _COVERED):
                 found.append(CoveringPair(eta_map, xi))
     return found

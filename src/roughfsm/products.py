@@ -149,7 +149,7 @@ def _build(m1: Machine, m2: Machine, alphabet, feed, name: str) -> Machine:
     Equal (q1, q2, x1, x2) share one entry, and equal pairs of factor block sets one side.
     """
     space = product_partition(m1.space, m2.space)
-    n2 = m2.space.n_blocks
+    ids1, n2 = m1.space.ids, m2.space.n_blocks
     symbols1, symbols2 = m1._symbol_index, m2._symbol_index
     fed = {}  # q2 -> feed(q2, a) for each letter a, in alphabet order
     for q2 in m2.space.states:
@@ -161,13 +161,13 @@ def _build(m1: Machine, m2: Machine, alphabet, feed, name: str) -> Machine:
                 raise UnknownSymbol(f"{where} feeds unknown {which} input {value_name(x)}")
 
     @cache
-    def side(ids1: frozenset, ids2: frozenset) -> DefinableSet:  # block (i, j) sits at i * n2 + j
-        return DefinableSet(space, frozenset(i * n2 + j for i in ids1 for j in ids2))
+    def side(bits1: int, bits2: int) -> DefinableSet:  # block (i, j) sits at i * n2 + j
+        return DefinableSet(space, sum(map(bits2.__lshift__, map(n2.__mul__, ids1(bits1)))))
 
     @cache
     def entry(q1, q2, x1, x2) -> RoughSet:
         r1, r2 = m1.table[q1, x1], m2.table[q2, x2]
-        return RoughSet(side(r1.lower.block_ids, r2.lower.block_ids), side(r1.upper.block_ids, r2.upper.block_ids))
+        return RoughSet(side(r1.lower.bits, r2.lower.bits), side(r1.upper.bits, r2.upper.bits))
 
     # The product space's states are the pairs (q1, q2); keying by them shares one tuple per state.
     table = {(q, a): entry(*q, *xs) for q in space.states for a, xs in zip(alphabet, fed[q[1]])}

@@ -30,7 +30,7 @@ ParseError. A transition line splits into keyword, state, input and
 tail text. A tail read before costs one lookup; a new one is cut into
 its lower and upper member texts, by slicing when it has the writer's
 spacing and by tokens otherwise. Once every line has parsed, each
-distinct member text is resolved to block ids once; errors found then
+distinct member text is resolved to a block mask once; errors found then
 come after every error in reading the lines, in document order. The
 reader checks the machine's shape itself and calls validate_machine
 only to report a failed check.
@@ -55,7 +55,7 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .core import make_partition, union_block_ids, value_name, ApproximationSpace, DefinableSet, RoughSet
+from .core import make_partition, union_bits, value_name, ApproximationSpace, DefinableSet, RoughSet
 from .machine import Machine, block_step, block_word_step, make_machine, word_step
 from .products import InputBridge
 
@@ -226,8 +226,8 @@ def parse_machine(text: str) -> Machine:
 
     symbols = set(inputs)
     table = {}
-    sides = {}  # member text -> its block ids
-    shared = {}  # (lower ids, upper ids) -> their one RoughSet
+    sides = {}  # member text -> its block mask
+    shared = {}  # (lower mask, upper mask) -> their one RoughSet
     rough = {}  # (lower, upper) member texts -> their RoughSet
     for (state, symbol), (lineno, texts) in entries.items():
         if state not in space._position:
@@ -241,34 +241,32 @@ def parse_machine(text: str) -> Machine:
     alphabet = tuple(inputs)
     # A table of distinct known entries is total iff it has one per grid cell; a repeated
     # input shrinks the table below that. Then only lower <= upper is left to check.
-    if len(table) != len(states) * len(alphabet) or not all(
-        r.lower.block_ids <= r.upper.block_ids for r in shared.values()
-    ):
+    if len(table) != len(states) * len(alphabet) or any(r.lower.bits & ~r.upper.bits for r in shared.values()):
         make_machine(space, alphabet, table, name)  # raises SemanticError with validate_machine's violations
     return Machine(space, alphabet, table, name)
 
 
 def _resolve(space, sides: dict, shared: dict, texts, state, symbol, lineno) -> RoughSet:
-    """The rough set whose lower and upper list the members in `texts`, one per (lower ids, upper ids).
+    """The rough set whose lower and upper list the members in `texts`, one per (lower mask, upper mask).
 
-    `sides` keeps the block ids of each member text resolved before.
+    `sides` keeps the block mask of each member text resolved before.
     """
-    ids = []
+    key = []
     for side, text in zip(("lower", "upper"), texts):
         if text not in sides:
             members = text.split()
             try:
-                side_ids = union_block_ids(space, members)
+                bits = union_bits(space, members)
             except UnknownState:
                 bad = next(q for q in members if q not in space._position)
                 raise SemanticError(f"unknown state {bad} in {side} set on line {lineno}") from None
-            if side_ids is None:
+            if bits is None:
                 raise NonDefinableEntry(f"{side} set of ({state}, {symbol}) on line {lineno} is not a union of blocks")
-            sides[text] = space._id_sets.setdefault(side_ids, side_ids)
-        ids.append(sides[text])
-    key = tuple(ids)
+            sides[text] = bits
+        key.append(sides[text])
+    key = tuple(key)
     if key not in shared:
-        shared[key] = RoughSet(DefinableSet(space, ids[0]), DefinableSet(space, ids[1]))
+        shared[key] = RoughSet(DefinableSet(space, key[0]), DefinableSet(space, key[1]))
     return shared[key]
 
 
@@ -290,10 +288,10 @@ def serialize_machine(machine: Machine) -> str:
     lines = [f"machine {machine.name}", "states " + " ".join(names)]
     lines += ("block " + " ".join(cell) for cell in blocks)
     lines.append("inputs " + " ".join(symbols))
-    texts = {}  # (id of a side's space, its block ids) -> its member text, rendered once
+    texts = {}  # (id of a side's space, its block mask) -> its member text, rendered once
 
     def side(d: DefinableSet) -> str:
-        key = id(d.space), d.block_ids
+        key = id(d.space), d.bits
         if key not in texts:
             texts[key] = " ".join(d.member_names() + ("",))  # each name followed by a space
         return texts[key]
@@ -318,7 +316,7 @@ def _require_distinct(what: str, values, names):
 
 def format_definable(definable: DefinableSet) -> str:
     """Union-of-blocks notation: {q1,q2} joined by the union sign, phi if empty."""
-    if not definable.block_ids:
+    if not definable.bits:
         return EMPTY_SET_MARK
     return UNION_MARK.join("{" + ",".join(map(value_name, cell)) + "}" for cell in definable.blocks_ordered())
 
@@ -423,8 +421,8 @@ def _table_rows(machine: Machine):
     restate the table and the full set tells nothing.
     """
     n = machine.space.n_blocks
-    rows = {d.block_ids: d for r in machine.table.values() for d in (r.lower, r.upper) if 1 < len(d.block_ids) < n}
-    return [rows[ids] for ids in sorted(rows, key=sorted)]
+    rows = {d.bits: d for r in machine.table.values() for d in (r.lower, r.upper) if 1 < d.bits.bit_count() < n}
+    return [rows[bits] for bits in sorted(rows, key=machine.space.ids)]
 
 
 def _layout(header: list[str], rows: list[list[str]]) -> str:

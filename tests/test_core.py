@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -13,8 +14,11 @@ from roughfsm import (
     approximate,
     is_definable,
     is_realizable,
+    make_machine,
     make_partition,
+    parse_machine,
     product_partition,
+    serialize_machine,
     value_name,
 )
 from roughfsm import core
@@ -28,6 +32,15 @@ def space5():
         ["q1", "q2", "q3", "q4", "q5"],
         [["q1", "q2"], ["q3", "q5"], ["q4"]],
     )
+
+
+def scattered_space(rng, n_blocks):
+    """A space of `n_blocks` blocks of 1-3 tuple states each, their members scattered over the states."""
+    sizes = [rng.randint(1, 3) for _ in range(n_blocks)]
+    states = [("s", i) for i in range(sum(sizes))]
+    shuffled = rng.sample(states, len(states))
+    cuts = list(itertools.accumulate(sizes))
+    return make_partition(states, [shuffled[i:j] for i, j in zip([0] + cuts, cuts)])
 
 
 @st.composite
@@ -111,13 +124,6 @@ class TestApproximate:
     def test_unknown_state_rejected(self):
         with pytest.raises(UnknownState):
             approximate(space5(), ["q9"])
-
-    def test_equal_block_sets_share_one_frozenset(self):
-        space = space5()
-        first, second = approximate(space, ["q1", "q3"]), approximate(space, ["q2", "q5"])
-        assert first.upper.block_ids is second.upper.block_ids
-        assert first.lower.block_ids is second.lower.block_ids
-        assert space.definable([1, 0]).block_ids is first.upper.block_ids
 
     def test_matches_brute_force_on_all_subsets(self):
         space = space5()
@@ -264,14 +270,55 @@ class TestDefinableSet:
             assert d.states_ordered() == tuple(states[p] for p in positions)
             assert d.member_names() == tuple(value_name(states[p]) for p in positions)
 
+    @pytest.mark.parametrize("n_blocks", [1, 8, 9, 16, 17, 65])
+    def test_block_masks_match_frozenset_algebra_at_byte_edges(self, n_blocks):
+        # Block masks are read a byte at a time; these spaces put blocks on
+        # both sides of each byte edge, and their members are scattered.
+        rng = random.Random(n_blocks)
+        space = scattered_space(rng, n_blocks)
+        assert space.n_blocks == n_blocks
+        position = {q: i for i, q in enumerate(space.states)}
+        picks = [frozenset(), frozenset(range(n_blocks)), frozenset({0}), frozenset({n_blocks - 1})]
+        picks += [frozenset(range(0, n_blocks, 8)), frozenset(range(7, n_blocks, 8))]
+        picks += [frozenset(rng.sample(range(n_blocks), rng.randint(1, n_blocks))) for _ in range(20)]
+        sets = [space.definable(ids) for ids in picks]
+        for ids, d in zip(picks, sets):
+            members = tuple(sorted((q for i in ids for q in space.blocks[i]), key=position.__getitem__))
+            assert type(d.block_ids) is frozenset and d.block_ids == ids
+            assert d.blocks_ordered() == tuple(space.blocks[i] for i in sorted(ids))
+            assert d.states_ordered() == members and d.states_set() == frozenset(members)
+            assert d.member_names() == tuple(map(value_name, members))
+            assert [q in d for q in space.states] == [space.block_id(q) in ids for q in space.states]
+        for (a_ids, a), (b_ids, b) in itertools.product(zip(picks, sets), repeat=2):
+            assert (a | b).block_ids == a_ids | b_ids
+            assert (a & b).block_ids == a_ids & b_ids
+            assert (a - b).block_ids == a_ids - b_ids
+            assert (a <= b) == (a_ids <= b_ids)
+
+    @pytest.mark.parametrize("n_blocks", [1, 8, 9, 16, 17, 65])
+    def test_machines_over_byte_edge_spaces_survive_a_round_trip(self, n_blocks):
+        rng = random.Random(n_blocks)
+        space = scattered_space(rng, n_blocks)
+        table = {}
+        for q in space.states:
+            for x in "ab":
+                up = rng.sample(range(n_blocks), rng.randint(0, n_blocks))
+                table[q, x] = RoughSet(space.definable(up[: rng.randint(0, len(up))]), space.definable(up))
+        m = make_machine(space, "ab", table, "edges")
+        text = serialize_machine(m)
+        back = parse_machine(text)
+        assert back == m and serialize_machine(back) == text
+
     def test_cross_space_algebra_rejected(self):
         other = make_partition(["q1"], [["q1"]])
         with pytest.raises(MismatchedSpace):
             space5().empty_set() | other.empty_set()
 
     def test_bad_block_id_rejected(self):
-        with pytest.raises(NonPartition):
-            space5().definable([7])
+        space = space5()
+        for ids in ([7], [-1], [space.n_blocks], [0, -1]):  # -1 must not reach a shift
+            with pytest.raises(NonPartition):
+                space.definable(ids)
 
     def test_truthiness_is_nonemptiness(self):
         space = space5()

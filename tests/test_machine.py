@@ -324,14 +324,6 @@ class TestTableSnapshot:
             with pytest.raises(TypeError):
                 twin.table[("q1", "a")] = twin.table[("q1", "b")]
 
-    def test_equal_run_results_share_their_block_ids(self, five_state):
-        first, second = word_step(five_state, "q3", ("a", "b")), word_step(five_state, "q5", ("a", "b"))
-        assert first == second
-        assert first.lower.block_ids is second.lower.block_ids
-        assert first.upper.block_ids is second.upper.block_ids
-        whole = block_word_step(five_state, five_state.space.block_of("q3"), ("a", "b"))
-        assert whole.upper.block_ids is first.upper.block_ids
-
 
 class TestDecompositionLaw:
     """Splitting a word anywhere and rerunning from the midpoint agrees."""

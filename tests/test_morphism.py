@@ -497,8 +497,9 @@ class TestAgainstWordByWord:
             subsets = oracles.all_subsets(range(m.space.n_blocks))
             for low, up in itertools.product(subsets, repeat=2):
                 for x in m.alphabet:
-                    r_low, r_up = (block_step(m, m.space.definable(ids), x) for ids in (low, up))
-                    assert machine._step(m, low, up, x) == (r_low.lower.block_ids, r_up.upper.block_ids)
+                    d_low, d_up = m.space.definable(low), m.space.definable(up)
+                    r_low, r_up = block_step(m, d_low, x), block_step(m, d_up, x)
+                    assert machine._step(m, d_low.bits, d_up.bits, x) == (r_low.lower.bits, r_up.upper.bits)
 
     def test_search_lists(self):
         rng = random.Random(71)
@@ -630,7 +631,7 @@ class TestSearchAgainstBruteForce:
         def refuse(*args):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(morphism, "_mask", refuse)
+        monkeypatch.setattr(morphism, "_Unions", refuse)
         monkeypatch.setattr(morphism, "_strike", refuse)
         wide = restricted_direct(five_state, exact_machine(2, five_state.alphabet))
         with pytest.raises(BudgetExceeded) as err:
