@@ -8,19 +8,19 @@ A. The pair of approximations is a rough set; sets that equal their own
 approximations (unions of blocks) are definable.
 
 A definable set is one int, its block mask: bit i stands for block i.
-Masks are read here: as ids, states or names a byte at a time, and as
-ORs of per-block ints bit by bit (`_union`). All types are immutable
-values: equal content compares equal and can be used in dicts and sets.
-A space renders its state names once, on first use of `names`, so
-writing or comparing a table costs one lookup per member.
+Masks are made by `_bits`, ORed over per-block ints bit by bit by
+`_union`, and listed as ids, blocks, states or names by `_pick`, which
+keeps no table. All types are immutable values: equal content compares
+equal and can be used in dicts and sets. A space renders its state
+names once, on first use of `names`, so writing or comparing a table
+costs one lookup per member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import add
+from itertools import chain, compress
 from typing import Iterable
 
 from .errors import DuplicateState, MismatchedSpace, NonPartition, UnknownState
@@ -90,6 +90,16 @@ class ApproximationSpace:
             return NotImplemented
         return self is other or (self.states, self.blocks) == (other.states, other.blocks)
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.states, self.blocks))
+
+    def __reduce__(self):  # string hashes differ between processes: pickle no cache
+        return self.__class__, (self.states, self.blocks)
+
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
@@ -100,30 +110,9 @@ class ApproximationSpace:
         return tuple(map(value_name, self.states))
 
     @cached_property
-    def state_bits(self) -> dict:
-        """Each state's int with just the bit of its position set."""
-        return {q: 1 << i for i, q in enumerate(self.states)}
-
-    @cached_property
     def block_masks(self) -> tuple[int, ...]:
-        """One int per block: the sum of its members' state_bits."""
-        return tuple(sum(map(self.state_bits.__getitem__, cell)) for cell in self.blocks)
-
-    @cached_property
-    def _id_runs(self) -> "_ByteRuns":
-        return _ByteRuns(range(self.n_blocks))
-
-    @cached_property
-    def _mask_sums(self) -> "_ByteRuns":
-        return _ByteRuns(self.block_masks, sum)  # blocks are disjoint
-
-    @cached_property
-    def _state_runs(self) -> "_ByteRuns":
-        return _ByteRuns(self.states)
-
-    @cached_property
-    def _name_runs(self) -> "_ByteRuns":
-        return _ByteRuns(self.names)
+        """One int per block: the mask of its members' positions in the declared order."""
+        return tuple(map(_bits, self.block_positions))
 
     @cached_property
     def block_positions(self) -> tuple[tuple[int, ...], ...]:
@@ -160,36 +149,25 @@ class ApproximationSpace:
 
     def ids(self, bits: int) -> tuple[int, ...]:
         """The block ids of the set bits of the block mask `bits`, ascending."""
-        return tuple(chain.from_iterable(self._id_runs.per_byte(bits)))
+        return tuple(_pick(range(self.n_blocks), bits))
 
 
-class _ByteRuns(dict):
-    """`join` of the values at the set bits of byte k of a mask, keyed 256 * k + byte.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
-    Bit i of byte k stands for value 8 * k + i, so one lookup per byte
-    lists a set's members or blocks in order, or sums their masks,
-    without sorting (the Method of Four Russians). Filled on first use.
+
+def _pick(values, bits: int):
+    """The values[i] at the set bits i of the non-negative mask `bits`, ascending in i.
+
+    `compress` reads one 0/1 byte per bit, low bit first, and stops at the
+    end of `values`.
     """
-
-    def __init__(self, values, join=tuple):
-        super().__init__()
-        self.values, self.join = values, join
-
-    def __missing__(self, key: int):
-        k, byte = divmod(key, 256)
-        run = self[key] = self.join(self.values[8 * k + i] for i in range(8) if byte >> i & 1)
-        return run
-
-    def per_byte(self, mask: int):
-        """The entries for the bytes of `mask`, low byte first."""
-        n = (mask.bit_length() + 7) // 8
-        return map(self.__getitem__, map(add, range(0, 256 * n, 256), mask.to_bytes(n, "little")))
+    return compress(values, bin(bits)[:1:-1].encode().translate(_FLAGS))
 
 
 def _union(masks, bits: int) -> int:
     """The OR of masks[i] over the set bits i of the block mask `bits`.
 
-    Walking the set bits beats a byte-table read on the few-bit masks of runs and checks.
+    Walking the set bits beats a `_pick` over `masks` on the few-bit masks of runs and checks.
     """
     out = 0
     while bits:
@@ -200,7 +178,7 @@ def _union(masks, bits: int) -> int:
 
 
 def _bits(ids) -> int:
-    """The block mask of distinct, valid block ids."""
+    """The mask of distinct, non-negative ids: block ids or state positions."""
     return sum(map((1).__lshift__, ids))
 
 
@@ -219,6 +197,10 @@ class DefinableSet:
     space: ApproximationSpace
     bits: int
 
+    def __post_init__(self):
+        if self.bits >> len(self.space.blocks):  # also -1 >> n == -1: negatives fail too
+            raise NonPartition(f"block mask {self.bits} is not a set of {len(self.space.blocks)} blocks")
+
     def __reduce__(self):
         return self.__class__, (self.space, self.bits)
 
@@ -229,20 +211,19 @@ class DefinableSet:
     def states_set(self) -> frozenset:
         return frozenset(chain.from_iterable(self.blocks_ordered()))
 
-    def _in_order(self, runs: _ByteRuns) -> tuple:
-        """The `runs` values at the members' positions, in declared order."""
-        positions = sum(self.space._mask_sums.per_byte(self.bits))
-        return tuple(chain.from_iterable(runs.per_byte(positions)))
+    def _in_order(self, values) -> tuple:
+        """The `values` at the members' positions, in declared order."""
+        return tuple(_pick(values, sum(_pick(self.space.block_masks, self.bits))))  # blocks are disjoint
 
     def states_ordered(self) -> tuple:
-        return self._in_order(self.space._state_runs)
+        return self._in_order(self.space.states)
 
     def member_names(self) -> tuple[str, ...]:
         """Printed names of the member states, in declared order."""
-        return self._in_order(self.space._name_runs)
+        return self._in_order(self.space.names)
 
     def blocks_ordered(self) -> tuple[tuple, ...]:
-        return tuple(map(self.space.blocks.__getitem__, self.space.ids(self.bits)))
+        return tuple(_pick(self.space.blocks, self.bits))
 
     def _check_space(self, other: "DefinableSet"):
         if self.space != other.space:

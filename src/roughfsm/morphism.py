@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Mapping
 
-from .core import ApproximationSpace, _union, value_name
+from .core import ApproximationSpace, _bits, _union, value_name
 from .errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
 from .machine import Machine, _Memo, _step
 
@@ -157,8 +157,9 @@ def _require_depth(depth: int):
 
 
 def _image_masks(space: ApproximationSpace, mapping: Mapping, target: ApproximationSpace) -> list[int]:
-    """Per block of `space`, the OR of target.state_bits over its members' images: a sum of distinct bits."""
-    return [sum(set(map(target.state_bits.__getitem__, map(mapping.__getitem__, cell)))) for cell in space.blocks]
+    """Per block of `space`, the mask of its members' images' positions in `target`."""
+    position = target._position
+    return [_bits({position[mapping[q]] for q in cell}) for cell in space.blocks]
 
 
 def _blocks_respected(space, mapping: Mapping, target, image: list[int]) -> CheckResult:
@@ -340,18 +341,14 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
 def _strike(cands, checks, image, rows1, eta):
     """Per m1 letter, the m2 letters of `cands` left after `checks`; None once one has none.
 
-    Each check is (m2 state position, bit of an m2 letter y, lower ids,
-    upper ids) of the entry at (q2, y); `image` holds the eta-images of
+    Each check is (m2 state position, bit of an m2 letter y, lower mask,
+    upper mask) of the entry at (q2, y); `image` holds the eta-images of
     its blocks. y is struck for each m1 letter whose entry at eta(q2),
     in `rows1`, escapes that image.
     """
     cands = list(cands)
     for q, bit, low, up in checks:
-        low2 = up2 = 0
-        for i in low:
-            low2 |= image[i]
-        for i in up:
-            up2 |= image[i]
+        low2, up2 = _union(image, low), _union(image, up)
         for x, (low1, up1) in enumerate(rows1[eta[q]]):
             if cands[x] & bit and (low1 & ~low2 or up1 & ~up2):
                 cands[x] &= ~bit
@@ -424,7 +421,7 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 2, budget: int = _BU
         low, up = r.lower.bits, r.upper.bits
         d = max(map(last2.__getitem__, space2.ids(low | up)), default=0)
         d = max(d, position2[q2])
-        checks[d].append((position2[q2], letter_bit[y], space2.ids(low), space2.ids(up)))
+        checks[d].append((position2[q2], letter_bit[y], low, up))
 
     found = []
     steps = (_Steps(m1), _Steps(m2))

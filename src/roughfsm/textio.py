@@ -35,9 +35,9 @@ come after every error in reading the lines, in document order. The
 reader checks the machine's shape itself and calls validate_machine
 only to report a failed check.
 
-The writer renders each distinct entry and side once: it cuts a side's
-member-position mask into bytes and looks each up in a per-space table
-of member names (the Method of Four Russians).
+The writer renders each distinct entry and side once: it picks the
+member names at the set bits of the side's member-position mask, in one
+pass over the names and no table kept per space.
 """
 
 from __future__ import annotations

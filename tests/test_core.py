@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +108,29 @@ class TestMakePartition:
         assert hash(first) == hash(second)
         assert first != make_partition(["q1", "q2", "q3"], [["q1"], ["q2"], ["q3"]])
         assert first != first.states
+
+    def test_pickled_and_copied_spaces_hash_and_compare_by_value(self):
+        # The space is hashed, then pickled, in a process with another string hash seed.
+        script = (
+            "import pickle, sys\n"
+            "from roughfsm import make_partition\n"
+            "space = make_partition(['q1', 'q2', 'q3', 'q4', 'q5'], [['q1', 'q2'], ['q3', 'q5'], ['q4']])\n"
+            "hash(space)\n"
+            "sys.stdout.buffer.write(pickle.dumps(space))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=60,
+            check=True,
+        )
+        space = space5()
+        for twin in (pickle.loads(done.stdout), copy.copy(space), copy.deepcopy(space)):
+            assert twin == space and hash(twin) == hash(space)
+            assert {space: 1}[twin] == 1
 
 
 class TestApproximate:
@@ -254,7 +283,7 @@ class TestDefinableSet:
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 99, 801])
     def test_member_orders_match_sorted_positions_at_byte_edges(self, n):
-        # Members are read off their position mask a byte at a time; tuple
+        # Members are picked off their position mask bit by bit; tuple
         # states print differently from themselves, and blocks are scattered.
         rng = random.Random(n)
         states = [("s", i) for i in range(n)]
@@ -270,10 +299,10 @@ class TestDefinableSet:
             assert d.states_ordered() == tuple(states[p] for p in positions)
             assert d.member_names() == tuple(value_name(states[p]) for p in positions)
 
-    @pytest.mark.parametrize("n_blocks", [1, 8, 9, 16, 17, 65])
+    @pytest.mark.parametrize("n_blocks", [1, 8, 9, 16, 17, 65, 256, 257])
     def test_block_masks_match_frozenset_algebra_at_byte_edges(self, n_blocks):
-        # Block masks are read a byte at a time; these spaces put blocks on
-        # both sides of each byte edge, and their members are scattered.
+        # Block masks are picked bit by bit; these spaces put blocks on both
+        # sides of each byte edge, and their members are scattered.
         rng = random.Random(n_blocks)
         space = scattered_space(rng, n_blocks)
         assert space.n_blocks == n_blocks
@@ -295,7 +324,7 @@ class TestDefinableSet:
             assert (a - b).block_ids == a_ids - b_ids
             assert (a <= b) == (a_ids <= b_ids)
 
-    @pytest.mark.parametrize("n_blocks", [1, 8, 9, 16, 17, 65])
+    @pytest.mark.parametrize("n_blocks", [1, 8, 9, 16, 17, 65, 256, 257])
     def test_machines_over_byte_edge_spaces_survive_a_round_trip(self, n_blocks):
         rng = random.Random(n_blocks)
         space = scattered_space(rng, n_blocks)
@@ -304,6 +333,8 @@ class TestDefinableSet:
             for x in "ab":
                 up = rng.sample(range(n_blocks), rng.randint(0, n_blocks))
                 table[q, x] = RoughSet(space.definable(up[: rng.randint(0, len(up))]), space.definable(up))
+        top = space.definable([n_blocks - 1])  # only the highest bit set
+        table[space.states[0], "a"] = RoughSet(top, top)
         m = make_machine(space, "ab", table, "edges")
         text = serialize_machine(m)
         back = parse_machine(text)
@@ -319,6 +350,12 @@ class TestDefinableSet:
         for ids in ([7], [-1], [space.n_blocks], [0, -1]):  # -1 must not reach a shift
             with pytest.raises(NonPartition):
                 space.definable(ids)
+        for bits in (-1, -2, 1 << space.n_blocks, (1 << space.n_blocks) | 1):  # reading would drop or misread them
+            with pytest.raises(NonPartition):
+                DefinableSet(space, bits)
+        d = DefinableSet(space, (1 << space.n_blocks) - 1)
+        for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+            assert twin == d and twin.states_ordered() == space.states
 
     def test_truthiness_is_nonemptiness(self):
         space = space5()
@@ -330,6 +367,7 @@ class TestDefinableSet:
         assert first is not second and first == second
         assert hash(first) == hash(second)
         assert len({first, second, space5().definable([1])}) == 2
+        assert {first: 1}[second] == 1 and space5().definable([0]) not in {first: 1}
         with pytest.raises(AttributeError):
             first.block_ids = frozenset()
         with pytest.raises((AttributeError, TypeError)):  # CPython 3.11 raises TypeError here
@@ -356,6 +394,7 @@ class TestRoughSet:
         assert first is not second and first == second
         assert hash(first) == hash(second)
         assert first != RoughSet(space5().definable([1]), space5().definable([1]))
+        assert {first: 1}[second] == 1 and RoughSet(space5().empty_set(), first.upper) not in {first: 1}
         with pytest.raises(AttributeError):
             first.lower = first.upper
         with pytest.raises((AttributeError, TypeError)):  # CPython 3.11 raises TypeError here
