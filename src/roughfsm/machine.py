@@ -21,7 +21,7 @@ Words are plain tuples of symbols; the empty tuple is the empty word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import product
 from operator import attrgetter, eq, or_
 from types import MappingProxyType
@@ -167,21 +167,30 @@ def validate_machine(machine: Machine, strict: bool = False) -> list[Violation]:
     if len(set(machine.alphabet)) != len(machine.alphabet):
         out.append(Violation(None, None, "alphabet lists a symbol twice"))
 
-    positions, symbols = machine.space._position, machine._symbol_index
-    for q, x in machine.table:
-        if q not in positions or x not in symbols:
+    table, positions, symbols = machine._table, machine.space._position, machine._symbol_index
+    inside = 0
+    for q, x in table:
+        if q in positions and x in symbols:
+            inside += 1
+        else:
             out.append(Violation(q, x, "entry outside the state/alphabet grid"))
-    grid = product(machine.space.states, machine.alphabet)
-    for (q, x), reason in zip(grid, machine.each_entry(partial(_entry_problem, machine.space, strict))):
-        if reason:
-            out.append(Violation(q, x, reason))
+    # Each distinct entry object is decided once; the grid is walked only
+    # to place what fails, a missing entry or a bad one, in table order.
+    entries = table.values()
+    reasons = dict(zip(map(id, entries), entries))
+    for key, r in reasons.items():
+        reasons[key] = _entry_problem(machine.space, strict, r)
+    if inside < len(machine.space.states) * len(machine.alphabet) or any(reasons.values()):
+        for q, x in product(machine.space.states, machine.alphabet):
+            r = table.get((q, x))
+            reason = "missing table entry" if r is None else reasons[id(r)]
+            if reason:
+                out.append(Violation(q, x, reason))
     return out
 
 
 def _entry_problem(space: ApproximationSpace, strict: bool, r) -> str | None:
     """Why the table entry `r` is not a well-formed entry over `space`, or None."""
-    if r is None:
-        return "missing table entry"
     if not isinstance(r, RoughSet):
         return "entry is not a rough set"
     if not (r.lower.space is space is r.upper.space or r.lower.space == space == r.upper.space):

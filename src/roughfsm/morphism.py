@@ -37,13 +37,32 @@ The two-letter pass may cost |Q2| * |X1|^2 word runs; above 1,000,000
 it raises BudgetExceeded before it starts, which the command line
 reports with exit code 2.
 
-Both checks share one walker and one containment test: each block
-becomes an int with one bit per state of the side receiving the state
-map's image, and a part, a block mask, is contained in another when the
-OR of its blocks' ints, worked out once per check, has no bit outside
-the OR of the other's. The two-letter pass steps block masks through
-`machine._step`, the step every run takes, and each check or search
-memoizes the configurations it steps.
+Both checks test every letter, and the covering every configuration
+of its two-letter pass, with one containment test, `_escape`, on the
+lower and upper masks of the two sides. A state map that respects
+blocks induces a block map beta between block ids, and where beta
+decides containment exactly, the masks are block masks:
+
+- a homomorphism always: f(a) is a nonempty part of the block beta(a)
+  and blocks are disjoint, so f of the union of a part A lies in the
+  union of B exactly when beta(A) is inside B;
+- a covering when eta maps each m2 block onto a whole m1 block: the
+  eta-image of the union of B is then the union of beta(B), and the
+  test is A inside beta(B);
+- a covering when eta is a bijection: each m1 block is then the
+  disjoint image of the m2 blocks that beta sends to it, so A lies in
+  the eta-image of B exactly when those blocks for A, a block mask of
+  m2, lie inside B.
+
+When a side's map is the identity on block ids, as between two machines
+over one product partition, its masks are the entries' own, and the
+test is `A & ~B`. Any other covering compares state masks: the covered
+side reads the mask of its members' positions that each definable set
+keeps, and the covering side ORs the eta-images of its blocks, built
+once per check from per-state bits. Of the covering cases, only the
+onto one starts every run inside; the others may step block masks
+through `machine._step`, the step every run takes, and each check or
+search memoizes the configurations it steps.
 
 `search_coverings` assigns eta depth first, one m2 state at a time in
 declared order, trying m1's states in declared order, and keeps its own
@@ -60,9 +79,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from operator import attrgetter
 from typing import Mapping
 
-from .core import ApproximationSpace, _bits, _union, value_name
+from .core import ApproximationSpace, _union, value_name
 from .errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
 from .machine import Machine, _Memo, _step
 
@@ -156,32 +176,68 @@ def _require_depth(depth: int):
         raise BadDepth(f"depth must not be negative, got {depth}")
 
 
+def _block_map(space: ApproximationSpace, mapping: Mapping, target: ApproximationSpace):
+    """beta: per block of `space`, the id of the `target` block its members map into.
+
+    A failing CheckResult instead, naming a block's first member and the
+    first member mapped elsewhere, when some block's members map into
+    two blocks of `target`.
+    """
+    ids, beta = target._block_id, []
+    for cell in space.blocks:
+        home = ids[mapping[cell[0]]]
+        for q in cell:
+            if ids[mapping[q]] != home:
+                return CheckResult(False, "equivalent states map to inequivalent states", (cell[0], q))
+        beta.append(home)
+    return beta
+
+
+def _onto_blocks(space: ApproximationSpace, mapping: Mapping, target: ApproximationSpace, beta: list[int]) -> bool:
+    """Whether `mapping` sends each block of `space` onto the whole `target` block that `beta` gives it."""
+    sizes = list(map(len, target.blocks))
+    return all(len(set(map(mapping.__getitem__, cell))) == sizes[b] for cell, b in zip(space.blocks, beta))
+
+
 def _image_masks(space: ApproximationSpace, mapping: Mapping, target: ApproximationSpace) -> list[int]:
     """Per block of `space`, the mask of its members' images' positions in `target`."""
-    position = target._position
-    return [_bits({position[mapping[q]] for q in cell}) for cell in space.blocks]
+    position, out = target._position, []
+    for cell in space.blocks:
+        mask = 0
+        for q in cell:
+            mask |= 1 << position[mapping[q]]
+        out.append(mask)
+    return out
 
 
-def _blocks_respected(space, mapping: Mapping, target, image: list[int]) -> CheckResult:
-    """Whether each block of `space`, with image masks `image`, maps into one block of `target`."""
-    for cell, mask in zip(space.blocks, image):
-        if mask & (mask - 1):  # the images are two states or more
-            home = target.block_id(mapping[cell[0]])
-            if mask & ~target.block_masks[home]:
-                q = next(q for q in cell if target.block_id(mapping[q]) != home)
-                return CheckResult(False, "equivalent states map to inequivalent states", (cell[0], q))
-    return CheckResult(True)
+_BLOCKS = attrgetter("lower.bits", "upper.bits")
+_MEMBERS = attrgetter("lower._members", "upper._members")
 
 
-def _escape(low1, up1, low2, up2, unions1, unions2):
+def _units(n: int) -> list[int]:
+    """One int per block of n: its own bit, so ORing over a block mask gives the mask back."""
+    return [1 << i for i in range(n)]
+
+
+def _reader(unions):
+    """A reader of an entry's lower and upper block masks mapped through `unions`.
+
+    When `unions` maps each block to its own bit, the masks are read as they are.
+    """
+    if unions.of == _units(len(unions.of)):
+        return _BLOCKS
+    return lambda r: (unions[r.lower.bits], unions[r.upper.bits])
+
+
+def _escape(parts1, parts2):
     """"lower" or "upper" for the first part of side 1 not inside side 2's, else None.
 
-    Each part is a block mask; inside means that its union in `unions1`
-    has no bit outside the union of side 2's part in `unions2`.
+    Each side is its (lower, upper) masks, and inside means no bit
+    outside. Every letter and every configuration is tested here.
     """
-    if unions1[low1] & ~unions2[low2]:
+    if parts1[0] & ~parts2[0]:
         return "lower"
-    if unions1[up1] & ~unions2[up2]:
+    if parts1[1] & ~parts2[1]:
         return "upper"
     return None
 
@@ -202,23 +258,22 @@ class _Steps(_Memo):
         return out
 
 
-def _walk(m1: Machine, m2: Machine, pairs, input_map, unions, reason: str, depth: int) -> CheckResult:
-    """Check that m1's entries and runs lie inside m2's along `pairs`.
+def _letters(m1: Machine, m2: Machine, pairs, input_map, read1, read2, reason: str) -> CheckResult:
+    """Check that m1's entries lie inside m2's along `pairs`, state major.
 
-    Each (q, q1, q2) pairs q1 of m1 with q2 of m2; a failure names q and
-    the letter or word, and formats `reason` with the failing side.
-    Letters compare table entries, state major, then at depth 2 or more
-    `_words` checks the two-letter words.
+    Each (q, q1, q2) pairs q1 of m1 with q2 of m2; `read1` and `read2`
+    turn an entry of each side into the (lower, upper) masks `_escape`
+    compares. A failure names q and the letter, and formats `reason`
+    with the failing side.
     """
+    table1, table2 = m1._table, m2._table
+    letters = [(x, input_map[x]) for x in m1.alphabet]
     for q, q1, q2 in pairs:
-        for x in m1.alphabet:
-            e1, e2 = m1.table[(q1, x)], m2.table[(q2, input_map[x])]
-            side = _escape(e1.lower.bits, e1.upper.bits, e2.lower.bits, e2.upper.bits, *unions)
+        for x, y in letters:
+            side = _escape(read1(table1[q1, x]), read2(table2[q2, y]))
             if side:
                 return CheckResult(False, reason.format(side=side), (q, x))
-    if depth < 2:
-        return CheckResult(True)
-    return _words(_Steps(m1), _Steps(m2), pairs, input_map, unions, reason)
+    return CheckResult(True)
 
 
 def _words(steps1, steps2, pairs, input_map, unions, reason: str) -> CheckResult:
@@ -231,9 +286,10 @@ def _words(steps1, steps2, pairs, input_map, unions, reason: str) -> CheckResult
     lower and upper block masks of both runs, steps from the distinct
     start blocks by a letter, each machine's half through its memoized
     `machine._step` in `steps1` or `steps2`, and each distinct
-    configuration is checked once against `unions`. Runs go in (word in
-    alphabet order, state order), so the first failure is the one a
-    word-by-word enumeration meets first.
+    configuration is checked once, its block masks turned into the masks
+    `_escape` compares by `unions`. Runs go in (word in alphabet order,
+    state order), so the first failure is the one a word-by-word
+    enumeration meets first.
     """
     alphabet = steps1.of.alphabet
     size = len(pairs) * len(alphabet) ** 2
@@ -246,10 +302,12 @@ def _words(steps1, steps2, pairs, input_map, unions, reason: str) -> CheckResult
 
     starts = {}
     unions1, unions2 = unions
+    masks1, masks2 = unions1.of, unions2.of  # per block id, the mask it stands for
     id1, id2 = steps1.of.space._block_id, steps2.of.space._block_id
     for q, q1, q2 in pairs:
-        b1, b2 = 1 << id1[q1], 1 << id2[q2]
-        if unions1[b1] & ~unions2[b2]:
+        i, j = id1[q1], id2[q2]
+        if masks1[i] & ~masks2[j]:
+            b1, b2 = 1 << i, 1 << j
             starts.setdefault((b1, b1, b2, b2), q)
     if not starts:
         return CheckResult(True)
@@ -260,7 +318,8 @@ def _words(steps1, steps2, pairs, input_map, unions, reason: str) -> CheckResult
                 config = step(step(start, x), y)
                 if config not in checked:
                     checked.add(config)
-                    side = _escape(*config, *unions)
+                    low1, up1, low2, up2 = config
+                    side = _escape((unions1[low1], unions1[up1]), (unions2[low2], unions2[up2]))
                     if side:
                         return CheckResult(False, reason.format(side=side), (q, (x, y)))
     return CheckResult(True)
@@ -276,14 +335,13 @@ def check_homomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckRes
     f = pair.state_map
     _require_total(f, m1.space.states, m2.space._position, "state map")
     _require_total(pair.input_map, m1.alphabet, m2._symbol_index, "input map")
-    image = _image_masks(m1.space, f, m2.space)
-    respected = _blocks_respected(m1.space, f, m2.space, image)
-    if not respected:
-        return respected
+    beta = _block_map(m1.space, f, m2.space)
+    if isinstance(beta, CheckResult):
+        return beta
     states = m1.space.states
     pairs = list(zip(states, states, map(f.__getitem__, states)))
-    unions = (_Unions(image), _Unions(m2.space.block_masks))
-    return _walk(m1, m2, pairs, pair.input_map, unions, "{side} image escapes the target {side}", 1)
+    read1 = _reader(_Unions([1 << b for b in beta]))
+    return _letters(m1, m2, pairs, pair.input_map, read1, _BLOCKS, "{side} image escapes the target {side}")
 
 
 def check_isomorphism(m1: Machine, m2: Machine, pair: MorphismPair) -> CheckResult:
@@ -323,19 +381,31 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     block-surjectivity property that coverings do not promise.
     """
     _require_depth(depth)
-    eta = pair.state_map
-    _require_total(eta, m2.space.states, m1.space._position, "state map")
-    _require_total(pair.input_map, m1.alphabet, m2._symbol_index, "input map")
-    if set(map(eta.__getitem__, m2.space.states)) != set(m1.space.states):
+    eta, xi = pair.state_map, pair.input_map
+    space1, space2 = m1.space, m2.space
+    states = space2.states
+    _require_total(eta, states, space1._position, "state map")
+    _require_total(xi, m1.alphabet, m2._symbol_index, "input map")
+    if set(map(eta.__getitem__, states)) != set(space1.states):
         raise NotOnto("state map does not reach every covered state")
-    image = _image_masks(m2.space, eta, m1.space)
-    respected = _blocks_respected(m2.space, eta, m1.space, image)
-    if not respected:
-        return respected
-    unions = (_Unions(m1.space.block_masks), _Unions(image))
-    states = m2.space.states
+    beta = _block_map(space2, eta, space1)
+    if isinstance(beta, CheckResult):
+        return beta
     pairs = list(zip(states, map(eta.__getitem__, states), states))
-    return _walk(m1, m2, pairs, pair.input_map, unions, _COVERED, depth)
+    if _onto_blocks(space2, eta, space1, beta):  # the eta-image of m2 blocks B: the blocks beta(B)
+        masks = _units(space1.n_blocks), [1 << a for a in beta]
+    elif len(states) == len(space1.states):  # a bijection: the preimage of m1 blocks, as m2 blocks
+        masks = [0] * space1.n_blocks, _units(space2.n_blocks)
+        for b, a in enumerate(beta):
+            masks[0][a] |= 1 << b
+    else:
+        masks = space1.block_masks, _image_masks(space2, eta, space1)
+    unions = _Unions(masks[0]), _Unions(masks[1])
+    read1 = _MEMBERS if masks[0] is space1.block_masks else _reader(unions[0])  # state masks kept by the sets
+    result = _letters(m1, m2, pairs, xi, read1, _reader(unions[1]), _COVERED)
+    if not result or depth < 2:
+        return result
+    return _words(_Steps(m1), _Steps(m2), pairs, xi, unions, _COVERED)
 
 
 def _strike(cands, checks, image, rows1, eta):
@@ -403,10 +473,7 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 2, budget: int = _BU
     n1, n2 = len(states1), len(states2)
     unions1 = _Unions(space1.block_masks)
     # Per m1 state position, per letter of m1: (lower, upper) state masks.
-    rows1 = [
-        [(unions1[r.lower.bits], unions1[r.upper.bits]) for r in row]
-        for row in ([m1.table[(q, x)] for x in m1.alphabet] for q in states1)
-    ]
+    rows1 = [[_MEMBERS(m1._table[q, x]) for x in m1.alphabet] for q in states1]
     home1 = [sorted(space1.block_positions[space1._block_id[q]]) for q in states1]
     members2 = space2.block_positions
     first2 = [min(members2[space2._block_id[q]]) for q in states2]

@@ -421,6 +421,50 @@ class TestValidateMachine:
                 for q, x in [("q1", "a"), ("q3", "a"), ("q4", "b")]
             ]
 
+    def test_shared_unrealizable_entry_reported_at_each_position_in_order(self, five_state):
+        # q4 is a one-state block, so a boundary holding it realizes no
+        # subset; the fixture's own entry at (q3, b) is not realizable either.
+        space = five_state.space
+        loose = RoughSet(space.empty_set(), space.block_of("q4"))
+        table = dict(five_state.table)
+        for key in [("q5", "b"), ("q2", "a"), ("q2", "b"), ("q1", "b")]:
+            table[key] = loose
+        m = Machine(space, five_state.alphabet, table)
+        assert validate_machine(m) == []
+        found = [(v.state, v.symbol, v.reason) for v in validate_machine(m, strict=True)]
+        assert found == [
+            (q, x, "entry is not the approximation of any subset")
+            for q, x in [("q1", "b"), ("q2", "a"), ("q2", "b"), ("q3", "b"), ("q5", "b")]
+        ]
+
+    def test_strict_realizability_agrees_with_brute_force_on_one_state_blocks(self):
+        # Every (lower, upper) pair over every partition with a one-state
+        # block, one symbol per pair and each pair's entry object shared by
+        # all states, so each failing entry is reported at every state.
+        states = ["q1", "q2", "q3", "q4"]
+        checked = 0
+        for size in range(1, len(states) + 1):
+            for cells in oracles.all_partitions(states[:size]):
+                if min(map(len, cells)) > 1:
+                    continue
+                space = make_partition(states[:size], cells)
+                subsets = list(oracles.all_subsets(range(space.n_blocks)))
+                entries = [RoughSet(space.definable(low), space.definable(up)) for low in subsets for up in subsets]
+                symbols = [f"x{i}" for i in range(len(entries))]
+                table = {(q, x): r for q in space.states for x, r in zip(symbols, entries)}
+                m = Machine(space, symbols, table)
+                expected = []
+                for q in space.states:
+                    for x, r in zip(symbols, entries):
+                        if not r.lower <= r.upper:
+                            expected.append((q, x, "lower approximation not contained in upper"))
+                        elif not oracles.brute_realizable(space, r.lower.states_set(), r.upper.states_set()):
+                            expected.append((q, x, "entry is not the approximation of any subset"))
+                found = [(v.state, v.symbol, v.reason) for v in validate_machine(m, strict=True)]
+                assert found == expected
+                checked += len(entries)
+        assert checked > 500
+
     def test_strict_reports_one_problem_per_entry(self, five_state):
         # Each broken entry gets its first problem only; the boundary test
         # runs on the well-formed entries, and is_realizable keeps its own

@@ -19,7 +19,7 @@ from roughfsm import (
     restricted_direct,
     search_coverings,
 )
-from roughfsm import machine, morphism
+from roughfsm import core, machine, morphism
 from roughfsm.machine import block_step
 from roughfsm.errors import BadDepth, BudgetExceeded, NotOnto, TotalityError
 from roughfsm.generate import exact_machine, random_machine, random_partition
@@ -761,6 +761,158 @@ class TestWordRunBudget:
     def test_letter_failures_are_reported_before_the_budget(self, five_state):
         pair = CoveringPair({q: q for q in five_state.space.states}, {"a": "b", "b": "a"})
         assert check_covering(five_state, five_state, pair, depth=10**9).counterexample == ("q1", "a")
+
+
+def machine_over(rng, m, states, cells, home, keep, extra):
+    """A machine over `cells` of `states`, whose blocks `home` sends into blocks of m, and home.
+
+    The entry at (p, x) holds each block sent into a block of m's entry
+    at (home[p], x) with probability `keep`, and each block with
+    probability `extra`: dropping every block sent into one breaks the
+    covering by home, and an extra block can break the homomorphism home.
+    """
+    space = make_partition(states, cells)
+    into = [[] for _ in m.space.blocks]  # per block of m, the blocks home sends into it
+    for j, cell in enumerate(space.blocks):
+        into[m.space.block_id(home[cell[0]])].append(j)
+
+    def part(d):
+        ids = {j for i in d.block_ids for j in into[i] if rng.random() < keep}
+        return space.definable(ids | {j for j in range(space.n_blocks) if rng.random() < extra})
+
+    table = {}
+    for p in states:
+        for x in m.alphabet:
+            lower = part(m.table[(home[p], x)].lower)
+            table[p, x] = RoughSet(lower, lower | part(m.table[(home[p], x)].upper))
+    return make_machine(space, m.alphabet, table, "over"), home
+
+
+def block_copies(rng, m, most, shuffle=False, keep=0.85, extra=0.1):
+    """A machine over copies of m's blocks, and the map home that sends each block onto a block of m.
+
+    State (q, c) is copy c of q. Each block of m gets 1 to `most`
+    copies, and copy c holds copy c of each member. States are declared
+    in m's order, or shuffled, which permutes the block ids. So the block
+    map of home is the identity (one copy each, in order), a
+    permutation (one copy each, shuffled) or many-to-one (more copies).
+    """
+    counts = [rng.randint(1, most) for _ in m.space.blocks]
+    states = [(q, c) for q in m.space.states for c in range(counts[m.space.block_id(q)])]
+    if shuffle:
+        rng.shuffle(states)
+    cells = [[(q, c) for q in cell] for cell, n in zip(m.space.blocks, counts) for c in range(n)]
+    return machine_over(rng, m, states, cells, {s: s[0] for s in states}, keep, extra)
+
+
+def split_copy(rng, m, keep=0.9, extra=0.05):
+    """A renamed copy of m, declared in shuffled order, with blocks cut in two at random, and the bijection home."""
+    home = {f"p{i}": q for i, q in enumerate(m.space.states)}
+    back = {q: p for p, q in home.items()}
+    cells = []
+    for cell in m.space.blocks:
+        cut = rng.randint(1, len(cell))
+        cells += [cell[:cut], cell[cut:]] if cut < len(cell) else [cell]
+    names = list(home)
+    rng.shuffle(names)
+    return machine_over(rng, m, names, [[back[q] for q in cell] for cell in cells], home, keep, extra)
+
+
+class TestBlockMap:
+    """State maps sending each block onto a block are decided on block masks, as the oracles decide them."""
+
+    KINDS = {"identity": (1, False, 0.85), "permutation": (1, True, 0.85), "many-to-one": (3, False, 0.5)}
+
+    @staticmethod
+    def pool(kind, seed, size=40):
+        """(m, copies, home, letter map) of one kind of block map, with a letter map astray at times."""
+        most, shuffle, keep = TestBlockMap.KINDS[kind]
+        rng = random.Random(seed)
+        for _ in range(size):
+            m = random_machine(rng, max_states=4, max_inputs=2, name="m")
+            copies, home = block_copies(rng, m, most, shuffle, keep)
+            letters = {x: x if rng.random() < 0.8 else rng.choice(m.alphabet) for x in m.alphabet}
+            yield m, copies, home, letters
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        def refuse(*args):
+            raise AssertionError("a block-level check worked out state masks or ran a word")
+
+        for name in names:
+            monkeypatch.setattr(morphism, name, refuse)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_coverings_fail_first_where_words_do(self, kind, monkeypatch):
+        seen, betas = set(), []
+        for m, copies, home, xi in self.pool(kind, 211):
+            beta = morphism._block_map(copies.space, home, m.space)
+            assert morphism._onto_blocks(copies.space, home, m.space, beta)
+            betas.append(beta)
+            with monkeypatch.context() as patch:
+                self.forbid(patch, "_image_masks", "_step")
+                result = check_covering(m, copies, CoveringPair(home, xi))
+            found = None if result else (result.counterexample, side_of(result))
+            assert found == oracles.first_covering_failure(m, copies, home, xi, 4)
+            seen.add(side_of(result) if found else "holds")
+        assert seen == {"holds", "lower", "upper"}
+        identity = [beta == list(range(len(beta))) for beta in betas]
+        injective = [len(set(beta)) == len(beta) for beta in betas]
+        assert {"identity": all(identity), "permutation": all(injective) and not all(identity),
+                "many-to-one": not all(injective)}[kind]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_homomorphisms_home_agree_with_brute_force(self, kind):
+        verdicts, injective = [], []
+        for m, copies, home, g in self.pool(kind, 223):
+            result = check_homomorphism(copies, m, MorphismPair(home, g))
+            failures = oracles.homomorphism_failures(copies, m, home, g, 3)
+            assert result.holds == (not failures) == oracles.brute_homomorphic(copies, m, home, g, 3)
+            if not result:
+                assert (result.counterexample, side_of(result)) in failures
+            verdicts.append(result.holds)
+            injective.append(len(set(home.values())) == len(home))
+        assert any(verdicts) and not all(verdicts)
+        assert all(injective) == (kind != "many-to-one")
+
+    def test_bijections_splitting_blocks_fail_first_where_words_do(self, monkeypatch):
+        # A bijection that cuts blocks in two maps no cut block onto a block;
+        # the check compares each covered part's preimage, a set of blocks
+        # of the covering machine, with the covering part, words included.
+        rng = random.Random(227)
+        seen, split = set(), 0
+        for _ in range(40):
+            m = random_machine(rng, n_states=rng.randint(2, 6), max_inputs=2, name="m", min_block_size=2)
+            fine, home = split_copy(rng, m)
+            beta = morphism._block_map(fine.space, home, m.space)
+            split += not morphism._onto_blocks(fine.space, home, m.space, beta)
+            xi = {x: x if rng.random() < 0.9 else rng.choice(m.alphabet) for x in m.alphabet}
+            with monkeypatch.context() as patch:
+                self.forbid(patch, "_image_masks")
+                result = check_covering(m, fine, CoveringPair(home, xi))
+            found = None if result else (result.counterexample, side_of(result))
+            assert found == oracles.first_covering_failure(m, fine, home, xi, 4)
+            seen.add("holds" if result else "word" if isinstance(found[0][1], tuple) else "letter")
+            if result and xi == {x: x for x in m.alphabet}:
+                assert check_homomorphism(fine, m, MorphismPair(home, xi)).holds == oracles.brute_homomorphic(
+                    fine, m, home, xi, 3
+                )
+        assert seen == {"holds", "letter", "word"} and split > 20
+
+    def test_identity_block_maps_call_no_union(self, five_state, monkeypatch):
+        # Two machines over one product partition, and a machine and
+        # itself: every entry is compared as the block masks it holds.
+        narrow, wide = restricted_direct(five_state, five_state), full_direct(five_state, five_state)
+        square = CoveringPair({q: q for q in wide.space.states}, {x: (x, x) for x in narrow.alphabet})
+        self.forbid(monkeypatch, "_union", "_image_masks", "_step")
+        for module in (core, machine):  # the kernel and the run step's own binding of it
+            monkeypatch.setattr(module, "_union", morphism._union)
+        assert check_covering(narrow, wide, square)
+        assert check_covering(five_state, five_state, identity_covering(five_state))
+        assert check_homomorphism(wide, wide, identity_morphism(wide))
+        assert check_isomorphism(five_state, five_state, identity_morphism(five_state))
+        shifted = CoveringPair({q: q for q in five_state.space.states}, {"a": "b", "b": "a"})
+        assert check_covering(five_state, five_state, shifted).counterexample == ("q1", "a")
 
 
 class TestCheckResult:
