@@ -5,7 +5,9 @@ maps and handed to the checkers, and one hand-built pair shows why the
 covering check has a depth parameter at all: letters alone can pass
 where a two-letter word fails, though only from a state whose block
 eta does not map onto a block. Two-letter words decide every longer
-word, so depth 20 agrees with depth 2, the default.
+word, so depth 20 agrees with depth 2, the default. A second pair goes
+the other way: it holds as a covering while a one-letter run from a
+whole block escapes the eta-image, since single letters compare entries.
 """
 
 from roughfsm import (
@@ -15,12 +17,57 @@ from roughfsm import (
     check_homomorphism,
     make_machine,
     make_partition,
+    parse_machine,
     run_claim_trials,
     search_coverings,
     witness_restricted_in_full,
+    word_step,
 )
 from roughfsm.generate import exact_machine
 from roughfsm.samples import five_state_machine, relabeled_pair
+
+# A covering that holds although a one-letter block run escapes: m1's run
+# on "a" from the block of q1 = eta(q2) has lower {q2}, outside the
+# eta-image {q1, q3} of m2's run from q2 on xi("a"). Single letters compare
+# entries, and entries alone pass.
+ESCAPE_M1 = """\
+machine m1
+states q1 q2 q3
+block q1 q3
+block q2
+inputs a b
+trans q1 a lower { } upper { q1 q3 }
+trans q1 b lower { } upper { }
+trans q2 a lower { } upper { q1 q3 }
+trans q2 b lower { q2 } upper { q1 q2 q3 }
+trans q3 a lower { q2 } upper { q1 q2 q3 }
+trans q3 b lower { q2 } upper { q2 }
+"""
+ESCAPE_M2 = """\
+machine m2
+states q1 q2 q3 q4 q5
+block q1
+block q2
+block q3 q5
+block q4
+inputs a b
+trans q1 a lower { q1 q4 } upper { q1 q3 q4 q5 }
+trans q1 b lower { q1 q2 q3 q4 q5 } upper { q1 q2 q3 q4 q5 }
+trans q2 a lower { q3 q5 } upper { q3 q5 }
+trans q2 b lower { q1 q4 } upper { q1 q4 }
+trans q3 a lower { q1 q2 q3 q5 } upper { q1 q2 q3 q5 }
+trans q3 b lower { q1 q3 q4 q5 } upper { q1 q3 q4 q5 }
+trans q4 a lower { q2 q4 } upper { q2 q3 q4 q5 }
+trans q4 b lower { } upper { q3 q5 }
+trans q5 a lower { q2 } upper { q2 q3 q5 }
+trans q5 b lower { } upper { }
+"""
+ESCAPE_PAIR = CoveringPair({"q1": "q2", "q2": "q1", "q3": "q3", "q4": "q2", "q5": "q1"}, {"a": "a", "b": "a"})
+
+
+def escape_pair():
+    """The covered machine, the covering machine and the pair of maps of the one-letter escape."""
+    return parse_machine(ESCAPE_M1), parse_machine(ESCAPE_M2), ESCAPE_PAIR
 
 
 def main() -> None:
@@ -68,6 +115,15 @@ def main() -> None:
     print("letters only:", check_covering(blocky, fine, eta_xi, depth=1))
     print("with words:  ", check_covering(blocky, fine, eta_xi, depth=2))
     print("depth 20:    ", check_covering(blocky, fine, eta_xi, depth=20))
+    print()
+
+    # The converse: a covering that holds while a one-letter block run escapes.
+    m1, m2, pair = escape_pair()
+    covered = word_step(m1, pair.eta("q2"), ("a",)).lower.states_ordered()
+    covering = word_step(m2, "q2", pair.xi_word(("a",))).lower.states_ordered()
+    image = tuple(sorted({pair.eta(q) for q in covering}))
+    print("escape pair:", check_covering(m1, m2, pair))
+    print(f"  lower of m1's run on a from [q1]: {covered}, outside {image}, the eta-image of m2's from [q2]")
     print()
 
     # The product claims come as machine-checked witnesses. One direct

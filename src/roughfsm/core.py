@@ -10,10 +10,10 @@ approximations (unions of blocks) are definable.
 A definable set is one int, its block mask: bit i stands for block i.
 Masks are made by `_bits`, ORed over per-block ints bit by bit by
 `_union`, and listed as ids, blocks, states or names by `_pick`, which
-keeps no table. A set turns its blocks into states once: the mask of
-its members' positions fills a slot on first read, and listing its
-states or names picks from that mask. All types are immutable values:
-equal content compares equal and can be used in dicts and sets. A space
+keeps no table. A set holds nothing but its space and its block mask:
+listing its states or names ORs its blocks' member masks on each call
+and picks from the result. All types are immutable values: equal
+content compares equal and can be used in dicts and sets. A space
 renders its state names once, on first use of `names`, so writing or
 comparing a table costs one lookup per member.
 """
@@ -194,32 +194,20 @@ class DefinableSet:
     """A union of blocks of one approximation space.
 
     The value is `bits`, the block mask, and the space pins down what
-    its bits mean; `block_ids` is derived on each read. `_members`, the
-    mask of the members' positions in the declared order, is worked out
-    on first read and kept in a slot that is no field, so equality, hash,
-    repr and pickle see only the value. Supports |, &, - and <= against
-    sets of the same space.
+    its bits mean; `block_ids`, the states and their names are derived
+    on each read, so a set keeps nothing beside its value. Supports |,
+    &, - and <= against sets of the same space.
     """
 
     # Not slots=True, whose copy of the class makes assigning `block_ids` raise
     # TypeError, not AttributeError. Pickle and copy go through __init__.
-    __slots__ = ("space", "bits", "_member_mask")
+    __slots__ = ("space", "bits")
     space: ApproximationSpace
     bits: int
 
     def __post_init__(self):
         if self.bits >> len(self.space.blocks):  # also -1 >> n == -1: negatives fail too
             raise NonPartition(f"block mask {self.bits} is not a set of {len(self.space.blocks)} blocks")
-
-    @property
-    def _members(self) -> int:
-        """The mask of the members' positions, kept in the `_member_mask` slot from the first read on."""
-        try:
-            return self._member_mask
-        except AttributeError:  # the slot is not filled yet
-            members = sum(_pick(self.space.block_masks, self.bits))  # blocks are disjoint
-            object.__setattr__(self, "_member_mask", members)
-            return members
 
     def __reduce__(self):
         return self.__class__, (self.space, self.bits)
@@ -233,7 +221,7 @@ class DefinableSet:
 
     def _in_order(self, values) -> tuple:
         """The `values` at the members' positions, in declared order."""
-        return tuple(_pick(values, self._members))
+        return tuple(_pick(values, sum(_pick(self.space.block_masks, self.bits))))  # blocks are disjoint
 
     def states_ordered(self) -> tuple:
         return self._in_order(self.space.states)

@@ -56,13 +56,14 @@ decides containment exactly, the masks are block masks:
 
 When a side's map is the identity on block ids, as between two machines
 over one product partition, its masks are the entries' own, and the
-test is `A & ~B`. Any other covering compares state masks: the covered
-side reads the mask of its members' positions that each definable set
-keeps, and the covering side ORs the eta-images of its blocks, built
-once per check from per-state bits. Of the covering cases, only the
-onto one starts every run inside; the others may step block masks
-through `machine._step`, the step every run takes, and each check or
-search memoizes the configurations it steps.
+test is `A & ~B`. Any other covering compares state masks. Each side
+ORs one mask per block over an entry's block mask, through a table the
+check keeps for that side: the covered side its blocks' member masks,
+the covering side the eta-images of its blocks, built once per check
+from per-state bits. Of the covering cases, only the onto one starts
+every run inside; the others may step block masks through
+`machine._step`, the step every run takes, and each check or search
+memoizes the configurations it steps.
 
 `search_coverings` assigns eta depth first, one m2 state at a time in
 declared order, trying m1's states in declared order, and keeps its own
@@ -211,7 +212,6 @@ def _image_masks(space: ApproximationSpace, mapping: Mapping, target: Approximat
 
 
 _BLOCKS = attrgetter("lower.bits", "upper.bits")
-_MEMBERS = attrgetter("lower._members", "upper._members")
 
 
 def _units(n: int) -> list[int]:
@@ -401,8 +401,7 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     else:
         masks = space1.block_masks, _image_masks(space2, eta, space1)
     unions = _Unions(masks[0]), _Unions(masks[1])
-    read1 = _MEMBERS if masks[0] is space1.block_masks else _reader(unions[0])  # state masks kept by the sets
-    result = _letters(m1, m2, pairs, xi, read1, _reader(unions[1]), _COVERED)
+    result = _letters(m1, m2, pairs, xi, _reader(unions[0]), _reader(unions[1]), _COVERED)
     if not result or depth < 2:
         return result
     return _words(_Steps(m1), _Steps(m2), pairs, xi, unions, _COVERED)
@@ -472,8 +471,9 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 2, budget: int = _BU
     states1, states2 = space1.states, space2.states
     n1, n2 = len(states1), len(states2)
     unions1 = _Unions(space1.block_masks)
+    read1 = _reader(unions1)
     # Per m1 state position, per letter of m1: (lower, upper) state masks.
-    rows1 = [[_MEMBERS(m1._table[q, x]) for x in m1.alphabet] for q in states1]
+    rows1 = [[read1(m1._table[q, x]) for x in m1.alphabet] for q in states1]
     home1 = [sorted(space1.block_positions[space1._block_id[q]]) for q in states1]
     members2 = space2.block_positions
     first2 = [min(members2[space2._block_id[q]]) for q in states2]

@@ -8,6 +8,7 @@ the point is an independent route to the same value.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, combinations, product
 
 
@@ -264,6 +265,57 @@ def first_covering_failure(m1, m2, eta, xi, depth):
             if side:
                 return (q2, w), side
     return None
+
+
+def exact_covers(m1, m2, eta, xi):
+    """True iff m2 covers m1 through an onto eta and xi on every word.
+
+    Decided by closure, with no word length: block respect, then the
+    paired states' entries on every letter, then a breadth-first search
+    over the configurations words reach. A configuration is the lower
+    and upper state sets of m1's run from [eta(q)] and of m2's run from
+    [q] on the translated word; there are finitely many, and every one
+    reached by a word of length 2 or more must lie inside the eta-image
+    of m2's, lower in lower and upper in upper.
+    """
+
+    def contained(low1, up1, low2, up2):
+        return low1 <= frozenset(eta[q] for q in low2) and up1 <= frozenset(eta[q] for q in up2)
+
+    def step(config, x):
+        low1, up1, low2, up2 = config
+        y = xi[x]
+        return (
+            step_states(m1, low1, x, "lower"),
+            step_states(m1, up1, x, "upper"),
+            step_states(m2, low2, y, "lower"),
+            step_states(m2, up2, y, "upper"),
+        )
+
+    for cell in m2.space.blocks:
+        if len({block_states_of(m1.space, eta[q]) for q in cell}) > 1:
+            return False
+    for q in m2.space.states:
+        for x in m1.alphabet:
+            if not contained(*_entry(m1, eta[q], x), *_entry(m2, q, xi[x])):
+                return False
+    configs = set()
+    for q in m2.space.states:
+        start1, start2 = block_states_of(m1.space, eta[q]), block_states_of(m2.space, q)
+        configs.add((start1, start1, start2, start2))
+    for _ in range(2):  # the configurations of words of length 1, then 2
+        configs = {step(config, x) for config in configs for x in m1.alphabet}
+    queue = deque(configs)
+    while queue:
+        config = queue.popleft()
+        if not contained(*config):
+            return False
+        for x in m1.alphabet:
+            reached = step(config, x)
+            if reached not in configs:
+                configs.add(reached)
+                queue.append(reached)
+    return True
 
 
 def brute_coverings(m1, m2, depth):

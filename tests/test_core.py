@@ -373,30 +373,9 @@ class TestDefinableSet:
         with pytest.raises((AttributeError, TypeError)):  # CPython 3.11 raises TypeError here
             first.note = "extra"
         assert not hasattr(first, "__dict__")
-
-
-    def test_member_mask_is_kept_out_of_the_value(self):
-        space = space5()
-        filled, fresh = space.definable([0, 2]), space.definable([2, 0])
-        slot = DefinableSet._member_mask  # the slot itself: reading it never fills it
-        with pytest.raises(AttributeError):
-            slot.__get__(filled)
-        assert filled._members == 0b1011  # q1, q2 and q4 sit at positions 0, 1 and 3
-        assert slot.__get__(filled) == 0b1011
-        assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
-        assert "_members" not in repr(filled) and pickle.dumps(filled) == pickle.dumps(fresh)
-        for twin in (pickle.loads(pickle.dumps(filled)), copy.copy(filled), copy.deepcopy(filled)):
-            with pytest.raises(AttributeError):
-                slot.__get__(twin)
-            assert twin == filled and hash(twin) == hash(filled) and repr(twin) == repr(filled)
-            assert twin._members == filled._members and twin.states_ordered() == ("q1", "q2", "q4")
-        assert not hasattr(filled, "__dict__") and not hasattr(filled, "note")
-        with pytest.raises(AttributeError):
-            filled.block_ids = frozenset()
-        for name in ("_members", "_member_mask"):
-            with pytest.raises(AttributeError):
-                setattr(filled, name, 0)
-        assert filled._members == 0b1011 and space.empty_set()._members == 0
+        assert repr(first) == repr(second) and pickle.dumps(first) == pickle.dumps(second)
+        for twin in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
+            assert twin == first and hash(twin) == hash(first) and twin.states_ordered() == ("q1", "q2", "q4")
 
 
 class TestRoughSet:

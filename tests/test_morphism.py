@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from roughfsm import (
     make_partition,
     restricted_direct,
     search_coverings,
+    word_step,
 )
 from roughfsm import core, machine, morphism
 from roughfsm.machine import block_step
@@ -41,6 +44,15 @@ def identity_covering(machine):
         {q: q for q in machine.space.states},
         {x: x for x in machine.alphabet},
     )
+
+
+def coverings_demo():
+    """`demos/04_coverings.py` as a module, for the pairs it builds."""
+    path = Path(__file__).resolve().parent.parent / "demos" / "04_coverings.py"
+    spec = importlib.util.spec_from_file_location("coverings_demo", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestHomomorphism:
@@ -240,6 +252,17 @@ class TestCovering:
         result = TestAgainstOracles.assert_cover(m1, m2, eta, xi, 1)
         assert result.counterexample == ("s", "a")
         assert side_of(result) == "lower"
+
+    def test_covering_holds_while_a_one_letter_block_run_escapes(self):
+        # Single letters compare entries: m1's run on "a" from the whole
+        # block [q1] = [eta(q2)] reaches q2, which no state of m2's run
+        # from q2 maps to, and still every entry and every longer word passes.
+        m1, m2, pair = coverings_demo().escape_pair()
+        assert check_covering(m1, m2, pair)
+        assert oracles.exact_covers(m1, m2, pair.state_map, pair.input_map)
+        covered = word_step(m1, "q1", ("a",)).lower.states_set()
+        image = {pair.eta(q) for q in word_step(m2, "q2", pair.xi_word(("a",))).lower.states_set()}
+        assert pair.eta("q2") == "q1" and covered == {"q2"} and image == {"q1", "q3"}
 
     def test_negative_depth_rejected(self, five_state):
         with pytest.raises(BadDepth):
@@ -913,6 +936,52 @@ class TestBlockMap:
         assert check_isomorphism(five_state, five_state, identity_morphism(five_state))
         shifted = CoveringPair({q: q for q in five_state.space.states}, {"a": "b", "b": "a"})
         assert check_covering(five_state, five_state, shifted).counterexample == ("q1", "a")
+
+
+def part_copies(rng, m, keep=0.85, extra=0.1):
+    """A machine over m's blocks and parts of them, and the map home that sends each block into its block of m.
+
+    State (q, c) is copy c of q. Copy 0 of each block of m is whole, so
+    home is onto; each block also gets up to two more copies of a
+    nonempty part, which home maps onto a part of that block unless the
+    part is the whole block.
+    """
+    cells = []
+    for cell in m.space.blocks:
+        cells.append([(q, 0) for q in cell])
+        for c in range(1, rng.randint(1, 3)):
+            cells.append([(q, c) for q in cell if rng.random() < 0.5] or [(cell[0], c)])
+    states = sorted((s for cell in cells for s in cell), key=lambda s: (m.space.position(s[0]), s[1]))
+    return machine_over(rng, m, states, cells, {s: s[0] for s in states}, keep, extra)
+
+
+def eta_kind(m1, m2, eta):
+    """Whether eta maps each m2 block onto a whole m1 block, else whether it is a bijection."""
+    blocks1 = set(map(frozenset, m1.space.blocks))
+    if all(frozenset(eta[q] for q in cell) in blocks1 for cell in m2.space.blocks):
+        return "onto blocks"
+    return "bijective" if len(set(eta.values())) == len(eta) else "neither"
+
+
+class TestExactOracle:
+    """check_covering against a closure over every word, on each kind of state map."""
+
+    def test_check_covering_agrees_on_every_kind_of_eta(self):
+        rng = random.Random(229)
+        constructions = (
+            lambda m: block_copies(rng, m, 2, rng.random() < 0.5),
+            lambda m: split_copy(rng, m),
+            lambda m: part_copies(rng, m),
+        )
+        verdicts = {"onto blocks": set(), "bijective": set(), "neither": set()}
+        for i in range(330):
+            m = random_machine(rng, n_states=rng.randint(2, 4), max_inputs=2, name="m", min_block_size=2)
+            cover, eta = constructions[i % 3](m)
+            xi = {x: x if rng.random() < 0.9 else rng.choice(m.alphabet) for x in m.alphabet}
+            holds = check_covering(m, cover, CoveringPair(eta, xi)).holds
+            assert holds == oracles.exact_covers(m, cover, eta, xi), (i, eta, xi)
+            verdicts[eta_kind(m, cover, eta)].add(holds)
+        assert all(found == {True, False} for found in verdicts.values()), verdicts
 
 
 class TestCheckResult:
