@@ -330,13 +330,16 @@ def approximate(space: ApproximationSpace, members: Iterable) -> RoughSet:
 
 
 def union_bits(space: ApproximationSpace, members: Iterable) -> int | None:
-    """The block mask of the blocks a subset meets when it is their union, else None."""
-    subset = set(members)
+    """The block mask of the blocks a subset meets when it is their union, else None.
+
+    Raises UnknownState at the first member, in the order given, that is not a state.
+    """
+    members = list(members)
     try:
-        ids = frozenset(map(space._block_id.__getitem__, subset))
+        ids = set(map(space._block_id.__getitem__, members))
     except KeyError as e:
         raise UnknownState(f"unknown state {value_name(e.args[0])}") from None
-    return _bits(ids) if len(subset) == sum(map(len, map(space.blocks.__getitem__, ids))) else None
+    return _bits(ids) if len(set(members)) == sum(map(len, map(space.blocks.__getitem__, ids))) else None
 
 
 def is_definable(space: ApproximationSpace, members: Iterable) -> bool:

@@ -222,9 +222,10 @@ def _units(n: int) -> list[int]:
 def _reader(unions):
     """A reader of an entry's lower and upper block masks mapped through `unions`.
 
-    When `unions` maps each block to its own bit, the masks are read as they are.
+    When `unions` maps each block to its own bit, whatever sequence holds
+    its table, the masks are read as they are.
     """
-    if unions.of == _units(len(unions.of)):
+    if all(mask == 1 << i for i, mask in enumerate(unions.of)):
         return _BLOCKS
     return lambda r: (unions[r.lower.bits], unions[r.upper.bits])
 

@@ -15,8 +15,12 @@ second factor's state q2.
 
 One builder evaluates each feed once per (q2, letter) and is the only
 check that fed inputs are letters of the factors. Entry values multiply
-componentwise: lower with lower, upper with upper. Letters that select
-equal factor-entry pairs share one immutable entry.
+componentwise: lower with lower, upper with upper. The builder keeps one
+immutable entry per distinct pair of factor entry objects it reads,
+shared by every (q1, q2, letter) that reads that pair; parsed factors
+already share equal entries, so their products share more. Each q2
+column groups its letters by the (x1, x2) they feed, so a pair's entry
+is looked up once per q1, not once per letter.
 
 Products skip make_machine's validation walk. The factors must be well
 formed, as make_machine and parse_machine return them; a machine built
@@ -32,8 +36,7 @@ factors' nonempty ones. So the result is well formed by construction
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import product as iter_product
+from itertools import product as iter_product, repeat
 from typing import Mapping, Sequence
 
 from .core import DefinableSet, RoughSet, product_partition, value_name
@@ -146,31 +149,51 @@ def _build(m1: Machine, m2: Machine, alphabet, feed, name: str) -> Machine:
     """The product over `alphabet` whose letter a feeds the factors feed(q2, a) = (x1, x2) at q2.
 
     Raises UnknownSymbol for a fed input outside its factor's alphabet.
-    Equal (q1, q2, x1, x2) share one entry, and equal pairs of factor block sets one side.
+    Each pair of factor entry objects read gives one entry, and each pair of factor block masks one side.
     """
     space = product_partition(m1.space, m2.space)
     ids1, n2 = m1.space.ids, m2.space.n_blocks
-    symbols1, symbols2 = m1._symbol_index, m2._symbol_index
-    fed = {}  # q2 -> feed(q2, a) for each letter a, in alphabet order
+    symbols1, symbols2, table1 = m1._symbol_index, m2._symbol_index, m1._table
+    columns = []  # per q2: each distinct (x1, m2's entry at (q2, x2)) fed, and each letter's index among them
     for q2 in m2.space.states:
-        fed[q2] = row = [feed(q2, a) for a in alphabet]
-        for a, (x1, x2) in zip(alphabet, row):
-            if x1 not in symbols1 or x2 not in symbols2:
-                which, x = ("first", x1) if x1 not in symbols1 else ("second", x2)
-                where = f"letter {value_name(a)} at {value_name(q2)}"
-                raise UnknownSymbol(f"{where} feeds unknown {which} input {value_name(x)}")
+        row = [feed(q2, a) for a in alphabet]
+        fed = {}  # each distinct (x1, x2) -> its index
+        index = [fed.setdefault(xs, len(fed)) for xs in row]
+        if not all(x1 in symbols1 and x2 in symbols2 for x1, x2 in fed):
+            for a, (x1, x2) in zip(alphabet, row):
+                if x1 not in symbols1 or x2 not in symbols2:
+                    which, x = ("first", x1) if x1 not in symbols1 else ("second", x2)
+                    where = f"letter {value_name(a)} at {value_name(q2)}"
+                    raise UnknownSymbol(f"{where} feeds unknown {which} input {value_name(x)}")
+        columns.append(([(x1, m2._table[q2, x2]) for x1, x2 in fed], index))
 
-    @cache
-    def side(bits1: int, bits2: int) -> DefinableSet:  # block (i, j) sits at i * n2 + j
-        return DefinableSet(space, sum(map(bits2.__lshift__, map(n2.__mul__, ids1(bits1)))))
+    spread = {}  # m1 block mask -> block i moved to bit i * n2, where block (i, j) sits at i * n2 + j
+    sides = {}  # (m1 block mask, m2 block mask) -> their product side
+    entries = {}  # (id of an m1 entry, id of an m2 entry) -> their product entry; both tables hold them
 
-    @cache
-    def entry(q1, q2, x1, x2) -> RoughSet:
-        r1, r2 = m1.table[q1, x1], m2.table[q2, x2]
-        return RoughSet(side(r1.lower.bits, r2.lower.bits), side(r1.upper.bits, r2.upper.bits))
+    def side(bits1: int, bits2: int) -> DefinableSet:
+        out = sides.get((bits1, bits2))
+        if out is None:
+            if bits1 not in spread:
+                spread[bits1] = sum(map((1).__lshift__, map(n2.__mul__, ids1(bits1))))
+            out = sides[bits1, bits2] = DefinableSet(space, spread[bits1] * bits2)  # exact: bits2 < 2**n2
+        return out
 
-    # The product space's states are the pairs (q1, q2); keying by them shares one tuple per state.
-    table = {(q, a): entry(*q, *xs) for q in space.states for a, xs in zip(alphabet, fed[q[1]])}
+    def entry(r1: RoughSet, r2: RoughSet) -> RoughSet:
+        key = id(r1), id(r2)
+        out = entries.get(key)
+        if out is None:
+            out = entries[key] = RoughSet(side(r1.lower.bits, r2.lower.bits), side(r1.upper.bits, r2.upper.bits))
+        return out
+
+    # The product space's states are the pairs (q1, q2), q1 major as the loops run;
+    # keying by them shares one tuple per state.
+    table = {}
+    states = iter(space.states)
+    for q1 in m1.space.states:
+        for pairs, index in columns:
+            row = [entry(table1[q1, x1], r2) for x1, r2 in pairs]
+            table.update(zip(zip(repeat(next(states)), alphabet), map(row.__getitem__, index)))
     return Machine(space, tuple(alphabet), table, name)  # well formed by construction: see the module docstring
 
 

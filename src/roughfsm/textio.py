@@ -26,24 +26,30 @@ as the symbol phi in tables.
 
 The readers split each line once on whitespace, cutting a comment only
 where '#' occurs, and find a token's column only when raising
-ParseError. A transition line splits into keyword, state, input and
-tail text. A tail read before costs one lookup; a new one is cut into
-its lower and upper member texts, by slicing when it has the writer's
-spacing and by tokens otherwise. Once every line has parsed, each
-distinct member text is resolved to a block mask once; errors found then
-come after every error in reading the lines, in document order. The
-reader checks the machine's shape itself and calls validate_machine
-only to report a failed check.
+ParseError. The machine reader reads its lines in one pass. A transition
+line splits into keyword, state, input and tail text, and leaves its
+(state, input) key, the index of its tail and its line number. A tail
+read before costs one lookup; a new one is cut into its lower and upper
+member texts, by one partition when it has the writer's spacing and by
+tokens otherwise. After the pass each distinct member text is resolved to a
+block mask once; equal masks share one definable set and equal mask
+pairs one rough set. The table is then built and checked in bulk: its
+keys are the grid of states by distinct inputs, none unknown and none
+missing, when they are as many as its cells and each cell is one of
+them. Only when a bulk check fails are the transitions walked, to raise
+the first fault in document order; a repeated transition is refused at
+its line, before any fault found after it. The reader calls
+validate_machine only to report a shape it cannot accept.
 
-The writer renders each distinct entry and side once: it picks the
-member names at the set bits of the side's member-position mask, in one
-pass over the names and no table kept per space.
+The writer renders one tail per distinct entry object and one member
+text per distinct side mask, picking the member names at the set bits
+of the side's member-position mask, then writes every line in one pass.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import product
+from itertools import chain, cycle, product, repeat
 
 from .errors import (
     DuplicateState,
@@ -51,6 +57,7 @@ from .errors import (
     NonDefinableEntry,
     NonPartition,
     ParseError,
+    RoughFsmError,
     SemanticError,
     UnknownState,
     UnknownSymbol,
@@ -109,25 +116,14 @@ def _names(tokens: list[str], start: int, stop: int, line: str, lineno: int, wha
     return names
 
 
-def _split_trans_line(tokens, line, lineno) -> tuple[str, str, str]:
-    """(state, symbol, tail text) of a line split as `trans state symbol tail`."""
-    if len(tokens) < 4:
-        raise ParseError("incomplete transition line", lineno, _column(line, 0))
-    _, state, symbol, tail = tokens
-    if "{" in state or "}" in state or "{" in symbol or "}" in symbol:
-        _names(tokens, 1, 2, line, lineno, "state")
-        _names(tokens, 2, 3, line, lineno, "input")
-    return state, symbol, tail
-
-
 def _tail_sides(tokens, line, lineno) -> tuple[str, str]:
     """The lower and upper member texts of the tail `lower { ... } upper { ... }` of a split trans line."""
-    tail = tokens[3]
-    cut = tail.find("} upper { ")
-    # The writer's layout: one space around each brace, none left over at the end.
-    if cut >= 8 and tail.startswith("lower { ") and tail.endswith(" }") and tail[cut - 1] == " ":
-        if tail.count("{") == 2 == tail.count("}"):
-            return tail[8:cut], tail[cut + 10 : -1]
+    head, cut, rest = tokens[3].partition("} upper { ")
+    # The writer's layout: one space around each brace, none left over at the end, no brace inside.
+    if cut and head.startswith("lower { ") and head[-1] == " " and (rest == "}" or rest.endswith(" }")):
+        lower, upper = head[8:], rest[:-1]
+        if not ("{" in lower or "}" in lower or "{" in upper or "}" in upper):
+            return lower, upper
     return tuple(map(" ".join, _tail_names(tokens, line, lineno)))
 
 
@@ -162,14 +158,44 @@ def parse_machine(text: str) -> Machine:
 
     The machine line's name becomes the machine's `name`.
     """
+    keys, tail_ids, linenos = [], [], []  # per transition line read: (state, input), tail index, line number
+    try:
+        return _read_machine(text, keys, tail_ids, linenos)
+    except RoughFsmError:
+        duplicate = _first_duplicate(keys, linenos)  # refused at its line, so before any fault found after it
+        if duplicate is None:
+            raise
+        raise duplicate from None
+
+
+def _read_machine(text: str, keys: list, tail_ids: list, linenos: list) -> Machine:
+    """The machine of a document, or the first fault found reading it apart from a repeated transition.
+
+    Appends each transition line's (state, input), tail index and line number as it is read.
+    """
     name = states = inputs = None
     blocks: list[list[str]] = []
-    entries = {}  # (state, symbol) -> (line number, (lower, upper) member texts), in document order
-    tails = {}  # tail text -> its one (lower, upper) member texts
+    tails = {}  # tail text -> its index in `sides`
+    sides = []  # the (lower, upper) member texts of each distinct tail
 
     for lineno, line, tokens in _rows(text, 3):
         keyword = tokens[0]
-        if keyword != "trans" and len(tokens) == 4:
+        if keyword == "trans" and name is not None:
+            if len(tokens) < 4:
+                raise ParseError("incomplete transition line", lineno, _column(line, 0))
+            _, state, symbol, tail = tokens
+            if "{" in state or "}" in state or "{" in symbol or "}" in symbol:
+                _names(tokens, 1, 2, line, lineno, "state")
+                _names(tokens, 2, 3, line, lineno, "input")
+            tail_id = tails.get(tail)
+            if tail_id is None:
+                tail_id = tails[tail] = len(sides)
+                sides.append(_tail_sides(tokens, line, lineno))
+            keys.append((state, symbol))
+            tail_ids.append(tail_id)
+            linenos.append(lineno)
+            continue
+        if len(tokens) == 4:
             tokens[3:] = tokens[3].split()
         if name is None:
             if keyword != "machine":
@@ -177,18 +203,6 @@ def parse_machine(text: str) -> Machine:
             if len(tokens) != 2:
                 raise ParseError("machine line needs exactly one name", lineno, _column(line, 0))
             (name,) = _names(tokens, 1, 2, line, lineno, "machine")
-            continue
-        if keyword == "trans":
-            state, symbol, tail = _split_trans_line(tokens, line, lineno)
-            if tail not in tails:
-                tails[tail] = _tail_sides(tokens, line, lineno)
-            texts = tails[tail]
-            if (state, symbol) in entries:
-                raise SemanticError(
-                    f"duplicate transition for ({state}, {symbol}) on line {lineno}"
-                    f" (first on line {entries[state, symbol][0]})"
-                )
-            entries[state, symbol] = (lineno, texts)
         elif keyword == "machine":
             raise ParseError("second machine line", lineno, _column(line, 0))
         elif keyword == "states":
@@ -225,49 +239,65 @@ def parse_machine(text: str) -> Machine:
         raise SemanticError(str(e)) from e
 
     symbols = set(inputs)
-    table = {}
-    sides = {}  # member text -> its block mask
+    # Each distinct member text once: its block mask, None when ragged, or the first name that is no state.
+    masks = dict.fromkeys(chain.from_iterable(sides))
+    for members in masks:
+        names = members.split()
+        try:
+            masks[members] = union_bits(space, names)
+        except UnknownState:
+            masks[members] = next(q for q in names if q not in space._position)
+    if not all(isinstance(bits, int) for bits in masks.values()):
+        _first_fault(space, symbols, zip(linenos, keys, tail_ids), sides, masks)  # raises at the first bad row
+    sets = {bits: DefinableSet(space, bits) for bits in set(masks.values())}
     shared = {}  # (lower mask, upper mask) -> their one RoughSet
-    rough = {}  # (lower, upper) member texts -> their RoughSet
-    for (state, symbol), (lineno, texts) in entries.items():
-        if state not in space._position:
-            raise SemanticError(f"transition from unknown state {state} on line {lineno}")
-        if symbol not in symbols:
-            raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
-        if texts not in rough:
-            rough[texts] = _resolve(space, sides, shared, texts, state, symbol, lineno)
-        table[state, symbol] = rough[texts]
+    roughs = []  # per distinct tail
+    for lower, upper in sides:
+        key = masks[lower], masks[upper]
+        if key not in shared:
+            shared[key] = RoughSet(sets[key[0]], sets[key[1]])
+        roughs.append(shared[key])
+    table = dict(zip(keys, map(roughs.__getitem__, tail_ids)))
+    if len(table) < len(keys):
+        raise _first_duplicate(keys, linenos)
 
     alphabet = tuple(inputs)
-    # A table of distinct known entries is total iff it has one per grid cell; a repeated
-    # input shrinks the table below that. Then only lower <= upper is left to check.
-    if len(table) != len(states) * len(alphabet) or any(r.lower.bits & ~r.upper.bits for r in shared.values()):
+    # The distinct keys are the grid, none unknown and none missing, when there are as many
+    # as distinct grid cells and each cell is one of them.
+    grid = len(table) == len(states) * len(symbols) and all(map(table.__contains__, product(states, symbols)))
+    if not grid:
+        _first_fault(space, symbols, zip(linenos, keys, tail_ids), sides, masks)  # raises at an unknown state or input
+    if not grid or len(symbols) < len(alphabet) or any(r.lower.bits & ~r.upper.bits for r in shared.values()):
         make_machine(space, alphabet, table, name)  # raises SemanticError with validate_machine's violations
     return Machine(space, alphabet, table, name)
 
 
-def _resolve(space, sides: dict, shared: dict, texts, state, symbol, lineno) -> RoughSet:
-    """The rough set whose lower and upper list the members in `texts`, one per (lower mask, upper mask).
+def _first_fault(space, symbols, rows, sides, masks):
+    """Raise the first fault of the transition `rows` in document order: an unknown state or input, then a side's.
 
-    `sides` keeps the block mask of each member text resolved before.
+    A row is a line number, a (state, input) key and the index of its member texts in `sides`.
     """
-    key = []
-    for side, text in zip(("lower", "upper"), texts):
-        if text not in sides:
-            members = text.split()
-            try:
-                bits = union_bits(space, members)
-            except UnknownState:
-                bad = next(q for q in members if q not in space._position)
-                raise SemanticError(f"unknown state {bad} in {side} set on line {lineno}") from None
+    for lineno, (state, symbol), tail_id in rows:
+        if state not in space._position:
+            raise SemanticError(f"transition from unknown state {state} on line {lineno}")
+        if symbol not in symbols:
+            raise SemanticError(f"transition on unknown input {symbol} on line {lineno}")
+        for side, members in zip(("lower", "upper"), sides[tail_id]):
+            bits = masks[members]
             if bits is None:
                 raise NonDefinableEntry(f"{side} set of ({state}, {symbol}) on line {lineno} is not a union of blocks")
-            sides[text] = bits
-        key.append(sides[text])
-    key = tuple(key)
-    if key not in shared:
-        shared[key] = RoughSet(DefinableSet(space, key[0]), DefinableSet(space, key[1]))
-    return shared[key]
+            if isinstance(bits, str):
+                raise SemanticError(f"unknown state {bits} in {side} set on line {lineno}")
+
+
+def _first_duplicate(keys, linenos) -> SemanticError | None:
+    """The error for the first transition line repeating an earlier one's state and input, if any."""
+    first = {}
+    for (state, symbol), lineno in zip(keys, linenos):
+        line = first.setdefault((state, symbol), lineno)
+        if line != lineno:
+            return SemanticError(f"duplicate transition for ({state}, {symbol}) on line {lineno} (first on line {line})")
+    return None
 
 
 def serialize_machine(machine: Machine) -> str:
@@ -288,20 +318,23 @@ def serialize_machine(machine: Machine) -> str:
     lines = [f"machine {machine.name}", "states " + " ".join(names)]
     lines += ("block " + " ".join(cell) for cell in blocks)
     lines.append("inputs " + " ".join(symbols))
-    texts = {}  # (id of a side's space, its block mask) -> its member text, rendered once
-
-    def side(d: DefinableSet) -> str:
-        key = id(d.space), d.bits
-        if key not in texts:
-            texts[key] = " ".join(d.member_names() + ("",))  # each name followed by a space
-        return texts[key]
-
-    def sets_text(r: RoughSet) -> str:
-        return f"lower {{ {side(r.lower)}}} upper {{ {side(r.upper)}}}"
-
-    for (q_name, x_name), tail in zip(product(names, symbols), machine.each_entry(sets_text)):
-        lines.append(f"trans {q_name} {x_name} {tail}")
-    return "\n".join(lines) + "\n"
+    table = machine._table
+    cells = list(map(table.get, product(machine.space.states, machine.alphabet)))
+    ids = list(map(id, cells))
+    tails = dict(zip(ids, cells))  # id of each distinct entry -> the entry, then its tail
+    texts = {}  # (id of a side's space, its block mask) -> its member text, each name followed by a space
+    for r in tails.values():
+        for d in (r.lower, r.upper):
+            if (id(d.space), d.bits) not in texts:
+                texts[id(d.space), d.bits] = " ".join(d.member_names() + ("",))
+    for key, r in tails.items():
+        lower, upper = texts[id(r.lower.space), r.lower.bits], texts[id(r.upper.space), r.upper.bits]
+        tails[key] = f"lower {{ {lower}}} upper {{ {upper}}}\n"
+    lines.append("")  # the header ends in a line break
+    # One pass writes each cell's state part, symbol part and tail, in table order.
+    by_state = chain.from_iterable(map(repeat, [f"trans {q} " for q in names], repeat(len(symbols))))
+    body = zip(by_state, cycle([f"{x} " for x in symbols]), map(tails.__getitem__, ids))
+    return "".join(chain(["\n".join(lines)], chain.from_iterable(body)))
 
 
 def _require_distinct(what: str, values, names):

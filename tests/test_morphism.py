@@ -283,6 +283,36 @@ class TestSearchCoverings:
         assert found[0].state_map == {q: q for q in five_state.space.states}
         assert found[0].input_map == {"a": "a", "b": "b"}
 
+    def test_identity_mask_tables_are_read_as_they_are(self, monkeypatch):
+        # A space of one-state blocks has block_masks (1, 2, 4): the identity table, held in a tuple.
+        singletons = make_partition(["q1", "q2", "q3"], [["q1"], ["q2"], ["q3"]])
+        assert morphism._reader(morphism._Unions(singletons.block_masks)) is morphism._BLOCKS
+        assert morphism._reader(morphism._Unions(list(singletons.block_masks))) is morphism._BLOCKS
+        paired = make_partition(["q1", "q2", "q3"], [["q1", "q3"], ["q2"]])
+        assert morphism._reader(morphism._Unions(paired.block_masks)) is not morphism._BLOCKS
+
+        rng = random.Random(43)
+        pairs = []
+        for _ in range(12):
+            states = [f"q{i}" for i in range(1, rng.randint(2, 3) + 1)]
+            space = make_partition(states, [[q] for q in states])
+            table = {(q, x): approximate(space, rng.sample(states, rng.randint(0, len(states))))
+                     for q in states for x in ("a", "b")}
+            m1 = make_machine(space, ("a", "b"), table, "m1")
+            pairs.append((m1, restricted_direct(m1, exact_machine(2, ("a", "b")))))
+            pairs.append((m1, random_machine(rng, n_states=len(states) + 1, alphabet=("a", "b"), name="m2")))
+
+        def verdicts():
+            found = [search_coverings(m1, m2) for m1, m2 in pairs]
+            checks = [check_covering(m1, m2, p) for (m1, m2), ps in zip(pairs, found) for p in ps]
+            return found, [(c.holds, c.reason, c.counterexample) for c in checks]
+
+        fast = verdicts()
+        assert any(fast[0]) and not all(fast[0])
+        # Read through the unions as for any other table: the verdicts are the same.
+        monkeypatch.setattr(morphism, "_reader", lambda unions: lambda r: (unions[r.lower.bits], unions[r.upper.bits]))
+        assert verdicts() == fast
+
     def test_search_is_deterministic(self, five_state):
         one = exact_machine(1, ("x",))
         first = search_coverings(one, five_state, depth=1)

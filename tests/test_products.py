@@ -31,6 +31,7 @@ from roughfsm.errors import (
 from roughfsm.generate import exact_machine, random_bridge, random_machine, random_wiring
 from roughfsm.machine import make_machine, word_step
 from roughfsm.products import all_function_symbols
+from roughfsm.textio import parse_machine, serialize_machine
 
 
 def pairs(first, second):
@@ -202,6 +203,34 @@ class TestWreath:
         bound = len(m1.space.states) * len(m1.alphabet) * len(m2.space.states) * len(m2.alphabet)
         assert len(wr.table) == 9 * 24 > bound == 54
         assert len({id(r) for r in wr.table.values()}) <= bound
+
+        # Parsed factors share equal entries, so products of them share entries across
+        # (q1, x1) and (q2, x2): one per pair of factor entry objects read. Building from
+        # the unparsed factors writes the same bytes.
+        for seed in range(3):
+            rng = random.Random(seed)
+            m1 = random_machine(rng, n_states=4, alphabet=("a", "b"), name="p1", min_block_size=2)
+            m2 = random_machine(rng, n_states=3, alphabet=("a", "b"), name="p2")
+            f1, f2 = parse_machine(serialize_machine(m1)), parse_machine(serialize_machine(m2))
+            assert len({id(r) for r in f1.table.values()}) < len(f1.table)
+            bridge, wiring = random_bridge(rng, f1, f2, 3), random_wiring(rng, f1, f2)
+            kinds = {  # kind -> (builder, the factor inputs a letter feeds at q2)
+                "full": (lambda a, b: full_direct(a, b), lambda q2, a: a),
+                "restricted": (lambda a, b: restricted_direct(a, b), lambda q2, a: (a, a)),
+                "general": (lambda a, b: general_direct(a, b, bridge), lambda q2, u: bridge.decode[u]),
+                "wreath": (lambda a, b: wreath(a, b), lambda q2, a: (a[0](q2), a[1])),
+                "cascade": (lambda a, b: cascade(a, b, wiring), lambda q2, x2: (wiring.omega[q2, x2], x2)),
+            }
+            for kind, (build, feed) in kinds.items():
+                product = build(f1, f2)
+                entries = {}  # pair of factor entry objects read -> ids of the product entries it gave
+                for (q1, q2), a in iter_product(product.space.states, product.alphabet):
+                    x1, x2 = feed(q2, a)
+                    pair = id(f1.table[q1, x1]), id(f2.table[q2, x2])
+                    entries.setdefault(pair, set()).add(id(product.table[(q1, q2), a]))
+                assert all(len(ids) == 1 for ids in entries.values()), (seed, kind)
+                assert len({id(r) for r in product.table.values()}) == len(entries), (seed, kind)
+                assert serialize_machine(product) == serialize_machine(build(m1, m2)), (seed, kind)
 
     def test_each_letter_and_table_key_hashes_its_symbol_once(self, monkeypatch):
         m1 = random_machine(random.Random(3), n_states=3, alphabet="ab")

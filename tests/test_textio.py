@@ -219,6 +219,12 @@ class TestSemanticErrors:
             parse_machine(base + "trans q1 b lower { } upper { q1 }\n")
         with pytest.raises(SemanticError, match="unknown state q9 in lower set"):
             parse_machine(base + "trans q1 a lower { q9 } upper { q1 }\n")
+        # A repeated input makes the grid count one cell twice, which an unknown input must not fill.
+        repeated = "machine m\nstates q1\nblock q1\ninputs a a\ntrans q1 a lower { } upper { q1 }\n"
+        with pytest.raises(SemanticError, match="unknown input b on line 6"):
+            parse_machine(repeated + "trans q1 b lower { } upper { q1 }\n")
+        with pytest.raises(SemanticError, match="unknown state q9 on line 6"):
+            parse_machine(repeated + "trans q9 a lower { } upper { q1 }\n")
 
     def test_ragged_entry_sets_rejected(self, five_state_text):
         text = five_state_text.replace(
@@ -670,18 +676,48 @@ class TestAgainstReferenceReader:
         assert reader_outcome(parse_machine, text)[0] is NonDefinableEntry
         assert reader_outcome(parse_machine, text) == reader_outcome(oracles.reference_parse_machine, text)
 
+    @staticmethod
+    def agree(rng, text, mutations):
+        """Both readers make the same of `text` and of `mutations` mutations of it."""
+        for mutated in [text] + [mutate(rng, text) for _ in range(mutations)]:
+            got = reader_outcome(parse_machine, mutated)
+            want = reader_outcome(oracles.reference_parse_machine, mutated)
+            if isinstance(want, tuple):
+                assert got == want, mutated
+            else:
+                assert got == want and got.name == want.name
+                assert got.canonical_key() == want.canonical_key()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_fast_reader_agrees_with_the_reference(self, seed):
         rng = random.Random(seed)
         for text in self.documents(seed):
-            for mutated in [text] + [mutate(rng, text) for _ in range(12)]:
-                got = reader_outcome(parse_machine, mutated)
-                want = reader_outcome(oracles.reference_parse_machine, mutated)
-                if isinstance(want, tuple):
-                    assert got == want, mutated
-                else:
-                    assert got == want and got.name == want.name
-                    assert got.canonical_key() == want.canonical_key()
+            self.agree(rng, text, 12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fast_reader_agrees_on_documents_of_many_states(self, seed):
+        # Products of 96 to 144 states over factors of two-state blocks, and a 36-state
+        # wreath of 128 letters: many lines and long member lists share few tails.
+        rng = random.Random(seed)
+        n1, n2 = [(12, 8), (10, 10), (12, 12)][seed]
+        m1, m2 = paired_blocks_machine(rng, n1, "m1", "q"), paired_blocks_machine(rng, n2, "m2", "p")
+        assert len(full_direct(m1, m2).space.states) in (96, 100, 144)
+        self.agree(rng, serialize_machine(full_direct(m1, m2)), 6)
+        self.agree(rng, serialize_machine(cascade(m1, m2, random_wiring(rng, m1, m2))), 4)
+        if seed == 0:
+            w1, w2 = paired_blocks_machine(rng, 6, "w1", "q"), paired_blocks_machine(rng, 6, "w2", "p")
+            text = serialize_machine(wreath(w1, w2))
+            assert text.count("\ntrans ") == 36 * 128
+            self.agree(rng, text, 4)
+
+
+def paired_blocks_machine(rng, n_states, name, prefix):
+    """A machine over "ab" whose blocks are random pairs of states, each entry approximating a random subset."""
+    states = [f"{prefix}{i}" for i in range(1, n_states + 1)]
+    shuffled = rng.sample(states, n_states)
+    space = core.make_partition(states, [shuffled[i : i + 2] for i in range(0, n_states, 2)])
+    table = {(q, x): core.approximate(space, rng.sample(states, n_states // 2)) for q in states for x in "ab"}
+    return machine_module.make_machine(space, ("a", "b"), table, name)
 
 
 class TestFormatting:
