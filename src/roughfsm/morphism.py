@@ -40,30 +40,29 @@ reports with exit code 2.
 Both checks test every letter, and the covering every configuration
 of its two-letter pass, with one containment test, `_escape`, on the
 lower and upper masks of the two sides. A state map that respects
-blocks induces a block map beta between block ids, and where beta
-decides containment exactly, the masks are block masks:
+blocks induces a block map beta between block ids. A homomorphism
+compares block masks: f(a) is a nonempty part of the block beta(a)
+and blocks are disjoint, so f of the union of a part A lies in the
+union of B exactly when beta(A) is inside B.
 
-- a homomorphism always: f(a) is a nonempty part of the block beta(a)
-  and blocks are disjoint, so f of the union of a part A lies in the
-  union of B exactly when beta(A) is inside B;
-- a covering when eta maps each m2 block onto a whole m1 block: the
-  eta-image of the union of B is then the union of beta(B), and the
-  test is A inside beta(B);
-- a covering when eta is a bijection: each m1 block is then the
-  disjoint image of the m2 blocks that beta sends to it, so A lies in
-  the eta-image of B exactly when those blocks for A, a block mask of
-  m2, lie inside B.
-
-When a side's map is the identity on block ids, as between two machines
-over one product partition, its masks are the entries' own, and the
-test is `A & ~B`. Any other covering compares state masks. Each side
-ORs one mask per block over an entry's block mask, through a table the
-check keeps for that side: the covered side its blocks' member masks,
-the covering side the eta-images of its blocks, built once per check
-from per-state bits. Of the covering cases, only the onto one starts
-every run inside; the others may step block masks through
-`machine._step`, the step every run takes, and each check or search
-memoizes the configurations it steps.
+A covering compares masks over atoms, the meet of m1's partition and
+the partition by the eta-images of m2's blocks (Hartmanis and Stearns,
+1966): an atom is a set of m1 states that the same m2 blocks reach
+through eta. eta is onto and respects blocks, so each m1 state is
+reached by some m2 block of its own block's preimage, and every m1
+block is a union of atoms; so is every eta-image of an m2 block. Atoms
+are disjoint and nonempty, so for any eta a part A of m1 lies in the
+eta-image of a part B of m2 exactly when A's atoms are among B's. When
+eta maps each block onto a block, the atoms are m1's blocks; when eta
+is a bijection, they are the images of m2's blocks. Atoms are numbered
+in the order m2's blocks first reach them, so a side whose table maps
+each block to its own bit, as between two machines over one product
+partition, reads its entries' block masks as they are, and the test is
+`A & ~B`. Otherwise each side ORs one atom mask per block over an
+entry's block mask. When eta maps blocks onto blocks, every start is
+inside; other coverings may step block masks through `machine._step`,
+the step every run takes, and each check or search memoizes the
+configurations it steps.
 
 `search_coverings` assigns eta depth first, one m2 state at a time in
 declared order, trying m1's states in declared order, and keeps its own
@@ -71,7 +70,9 @@ stack, so |Q2| is not limited by recursion. A partial map is dropped at
 the first state where block respect, onto-ness (enough states left to
 hit every m1 state) or a letter fails. Each m2 entry is checked as soon
 as its state and every member of its blocks have a value, by striking
-its letter from the candidates of every m1 letter it cannot serve. The
+its letter from the candidates of every m1 letter it cannot serve. As
+eta is partial until then, the search compares state masks: m1's
+blocks' member masks against the eta-images of m2's blocks. The
 budget still counts every pair of maps, |Q1|^|Q2| * |X2|^|X1|, though
 far fewer are visited.
 """
@@ -194,29 +195,29 @@ def _block_map(space: ApproximationSpace, mapping: Mapping, target: Approximatio
     return beta
 
 
-def _onto_blocks(space: ApproximationSpace, mapping: Mapping, target: ApproximationSpace, beta: list[int]) -> bool:
-    """Whether `mapping` sends each block of `space` onto the whole `target` block that `beta` gives it."""
-    sizes = list(map(len, target.blocks))
-    return all(len(set(map(mapping.__getitem__, cell))) == sizes[b] for cell, b in zip(space.blocks, beta))
+def _atoms(space2: ApproximationSpace, eta: Mapping, space1: ApproximationSpace, beta: list[int]):
+    """The atom masks of m1's blocks and of the eta-images of m2's blocks, per block id.
 
-
-def _image_masks(space: ApproximationSpace, mapping: Mapping, target: ApproximationSpace) -> list[int]:
-    """Per block of `space`, the mask of its members' images' positions in `target`."""
-    position, out = target._position, []
-    for cell in space.blocks:
+    An atom is a set of m1 states that the same m2 blocks reach through
+    eta; atoms are numbered in the order m2's blocks first reach them.
+    """
+    position = space1._position
+    reach = [0] * len(space1.states)  # per m1 position, the bits of the m2 blocks reaching it
+    for b, cell in enumerate(space2.blocks):
+        bit = 1 << b
+        for q in cell:
+            reach[position[eta[q]]] |= bit
+    atom, masks1, masks2 = {}, [0] * space1.n_blocks, []
+    for cell, a in zip(space2.blocks, beta):
         mask = 0
         for q in cell:
-            mask |= 1 << position[mapping[q]]
-        out.append(mask)
-    return out
+            mask |= 1 << atom.setdefault(reach[position[eta[q]]], len(atom))
+        masks2.append(mask)
+        masks1[a] |= mask
+    return masks1, masks2
 
 
 _BLOCKS = attrgetter("lower.bits", "upper.bits")
-
-
-def _units(n: int) -> list[int]:
-    """One int per block of n: its own bit, so ORing over a block mask gives the mask back."""
-    return [1 << i for i in range(n)]
 
 
 def _reader(unions):
@@ -393,15 +394,7 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     if isinstance(beta, CheckResult):
         return beta
     pairs = list(zip(states, map(eta.__getitem__, states), states))
-    if _onto_blocks(space2, eta, space1, beta):  # the eta-image of m2 blocks B: the blocks beta(B)
-        masks = _units(space1.n_blocks), [1 << a for a in beta]
-    elif len(states) == len(space1.states):  # a bijection: the preimage of m1 blocks, as m2 blocks
-        masks = [0] * space1.n_blocks, _units(space2.n_blocks)
-        for b, a in enumerate(beta):
-            masks[0][a] |= 1 << b
-    else:
-        masks = space1.block_masks, _image_masks(space2, eta, space1)
-    unions = _Unions(masks[0]), _Unions(masks[1])
+    unions = tuple(map(_Unions, _atoms(space2, eta, space1, beta)))
     result = _letters(m1, m2, pairs, xi, _reader(unions[0]), _reader(unions[1]), _COVERED)
     if not result or depth < 2:
         return result

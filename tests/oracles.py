@@ -267,6 +267,41 @@ def first_covering_failure(m1, m2, eta, xi, depth):
     return None
 
 
+def _closure_contained(m1, m2, starts, translate, contained, shortest):
+    """Whether every configuration a word of length `shortest` or more reaches from `starts` is contained.
+
+    A configuration is the lower and upper state sets of a run of m1 and
+    of a run of m2; a letter x of m1 steps m1's half on x and m2's half
+    on translate[x]. There are finitely many, so a breadth-first search
+    over the configurations reached visits them all.
+    """
+
+    def step(config, x):
+        low1, up1, low2, up2 = config
+        y = translate[x]
+        return (
+            step_states(m1, low1, x, "lower"),
+            step_states(m1, up1, x, "upper"),
+            step_states(m2, low2, y, "lower"),
+            step_states(m2, up2, y, "upper"),
+        )
+
+    configs = set(starts)
+    for _ in range(shortest):  # the configurations of words of length 1, ..., shortest
+        configs = {step(config, x) for config in configs for x in m1.alphabet}
+    queue = deque(configs)
+    while queue:
+        config = queue.popleft()
+        if not contained(*config):
+            return False
+        for x in m1.alphabet:
+            reached = step(config, x)
+            if reached not in configs:
+                configs.add(reached)
+                queue.append(reached)
+    return True
+
+
 def exact_covers(m1, m2, eta, xi):
     """True iff m2 covers m1 through an onto eta and xi on every word.
 
@@ -282,16 +317,6 @@ def exact_covers(m1, m2, eta, xi):
     def contained(low1, up1, low2, up2):
         return low1 <= frozenset(eta[q] for q in low2) and up1 <= frozenset(eta[q] for q in up2)
 
-    def step(config, x):
-        low1, up1, low2, up2 = config
-        y = xi[x]
-        return (
-            step_states(m1, low1, x, "lower"),
-            step_states(m1, up1, x, "upper"),
-            step_states(m2, low2, y, "lower"),
-            step_states(m2, up2, y, "upper"),
-        )
-
     for cell in m2.space.blocks:
         if len({block_states_of(m1.space, eta[q]) for q in cell}) > 1:
             return False
@@ -299,23 +324,40 @@ def exact_covers(m1, m2, eta, xi):
         for x in m1.alphabet:
             if not contained(*_entry(m1, eta[q], x), *_entry(m2, q, xi[x])):
                 return False
-    configs = set()
+    starts = set()
     for q in m2.space.states:
         start1, start2 = block_states_of(m1.space, eta[q]), block_states_of(m2.space, q)
-        configs.add((start1, start1, start2, start2))
-    for _ in range(2):  # the configurations of words of length 1, then 2
-        configs = {step(config, x) for config in configs for x in m1.alphabet}
-    queue = deque(configs)
-    while queue:
-        config = queue.popleft()
-        if not contained(*config):
+        starts.add((start1, start1, start2, start2))
+    return _closure_contained(m1, m2, starts, xi, contained, 2)
+
+
+def exact_homomorphic(m1, m2, f, g):
+    """True iff (f, g) is a homomorphism from m1 to m2 on every word.
+
+    Decided by closure, with no word length: block respect, then every
+    entry against its image's entry, then a breadth-first search over
+    the configurations words reach. A configuration is the lower and
+    upper state sets of m1's run from [q] and of m2's run from [f(q)]
+    on the translated word; there are finitely many, and in every one
+    reached by a word of length 1 or more f of m1's sets must lie inside
+    m2's, lower in lower and upper in upper.
+    """
+
+    def contained(low1, up1, low2, up2):
+        return frozenset(f[q] for q in low1) <= low2 and frozenset(f[q] for q in up1) <= up2
+
+    for cell in m1.space.blocks:
+        if len({block_states_of(m2.space, f[q]) for q in cell}) > 1:
             return False
+    for q in m1.space.states:
         for x in m1.alphabet:
-            reached = step(config, x)
-            if reached not in configs:
-                configs.add(reached)
-                queue.append(reached)
-    return True
+            if not contained(*_entry(m1, q, x), *_entry(m2, f[q], g[x])):
+                return False
+    starts = set()
+    for q in m1.space.states:
+        start1, start2 = block_states_of(m1.space, q), block_states_of(m2.space, f[q])
+        starts.add((start1, start1, start2, start2))
+    return _closure_contained(m1, m2, starts, g, contained, 1)
 
 
 def brute_coverings(m1, m2, depth):
