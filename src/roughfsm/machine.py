@@ -82,7 +82,7 @@ class Machine:
     def __init__(self, space: ApproximationSpace, alphabet: Sequence, table: Mapping, name: str = "m"):
         self.space = space
         self.alphabet = tuple(alphabet)
-        self._table = dict(table)  # each_entry reads the dict: the view's get looks its method up per call
+        self._table = dict(table)  # readers take the dict's get: the view's get forwards each call to it
         self.table = MappingProxyType(self._table)
         self.name = name
         self._symbol_index = {x: i for i, x in enumerate(self.alphabet)}
@@ -107,41 +107,27 @@ class Machine:
         except KeyError:
             raise UnknownSymbol(f"unknown input symbol {value_name(symbol)}") from None
 
-    def each_entry(self, f):
-        """f(entry) for each (state, symbol) in table order, the entry None where missing.
-
-        f runs once per distinct entry object, told apart by identity while the table holds it.
-        """
-        values, get = {}, self._table.get
-        for q in self.space.states:
-            for x in self.alphabet:
-                r = get((q, x))
-                key = id(r)
-                if key not in values:
-                    values[key] = f(r)
-                yield values[key]
-
     def printed_names(self) -> tuple:
         """The printed state names, blocks as tuples of those names, and symbol names."""
         names = self.space.names
         blocks = tuple(tuple(map(names.__getitem__, cell)) for cell in self.space.block_positions)
         return names, blocks, tuple(map(value_name, self.alphabet))
 
-    def _parts(self, f):
-        """f of each entry's lower and upper in table order, None where the entry is missing."""
-        return self.each_entry(lambda r: None if r is None else (f(r.lower), f(r.upper)))
-
     def canonical_key(self):
         names, blocks, symbols = self.printed_names()
-        cells = zip(product(names, symbols), self._parts(DefinableSet.member_names))
-        return names, blocks, symbols, tuple((q, x, cell) for (q, x), cell in cells)
+        cells = map(self._table.get, product(self.space.states, self.alphabet))
+        return names, blocks, symbols, tuple(
+            (q, x, None if r is None else (r.lower.member_names(), r.upper.member_names()))
+            for (q, x), r in zip(product(names, symbols), cells)
+        )
 
     def __eq__(self, other):
         """Equal printed names, then entry block masks compared in table order up to the first difference."""
         if not isinstance(other, Machine):
             return NotImplemented
-        bits = attrgetter("bits")
-        return self.printed_names() == other.printed_names() and all(map(eq, self._parts(bits), other._parts(bits)))
+        grids = (map(m._table.get, product(m.space.states, m.alphabet)) for m in (self, other))
+        masks = ((None if r is None else (r.lower.bits, r.upper.bits) for r in grid) for grid in grids)
+        return self.printed_names() == other.printed_names() and all(map(eq, *masks))
 
     def __repr__(self):
         return (

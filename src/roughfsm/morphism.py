@@ -388,7 +388,8 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     states = space2.states
     _require_total(eta, states, space1._position, "state map")
     _require_total(xi, m1.alphabet, m2._symbol_index, "input map")
-    if set(map(eta.__getitem__, states)) != set(space1.states):
+    # Every eta value is a state of m1 by now, so counting the distinct ones decides onto-ness.
+    if len(set(map(eta.__getitem__, states))) < len(space1.states):
         raise NotOnto("state map does not reach every covered state")
     beta = _block_map(space2, eta, space1)
     if isinstance(beta, CheckResult):

@@ -27,3 +27,20 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def readme_quick_start():
+    """The ```python blocks of the README's library quick start, in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    return [block.split("```", 1)[0] for block in section.split("```python\n")[1:]]
+
+
+def test_readme_quick_start_runs(monkeypatch, capsys):
+    blocks = readme_quick_start()
+    assert len(blocks) == 2
+    monkeypatch.chdir(ROOT)  # the snippets open fixtures by paths relative to the repo root
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.splitlines()[-1] == "holds"

@@ -562,6 +562,8 @@ def test_equality_agrees_with_the_brute_key(seed):
         same = oracles.brute_canonical_key(a) == oracles.brute_canonical_key(b)
         assert (a == b) is same
         assert (b == a) is same
+        for m in (a, b):
+            assert m.canonical_key() == oracles.brute_canonical_key(m)
 
 
 class TestMachineValueSemantics:

@@ -209,6 +209,13 @@ class TestCovering:
         with pytest.raises(NotOnto):
             check_covering(five_state, five_state, CoveringPair(eta, {"a": "a", "b": "b"}))
 
+    def test_onto_is_decided_before_block_respect(self, five_state):
+        # q1 and q2 share a block but land in different blocks, and no state reaches q2, q4 or q5.
+        eta = {q: "q1" for q in five_state.space.states}
+        eta["q2"] = "q3"
+        with pytest.raises(NotOnto):
+            check_covering(five_state, five_state, CoveringPair(eta, {"a": "a", "b": "b"}))
+
     def test_partial_input_map_rejected(self, five_state):
         pair = CoveringPair({q: q for q in five_state.space.states}, {"a": "a"})
         with pytest.raises(TotalityError):
