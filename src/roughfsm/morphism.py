@@ -278,7 +278,7 @@ def _letters(m1: Machine, m2: Machine, pairs, input_map, read1, read2, reason: s
     return CheckResult(True)
 
 
-def _words(steps1, steps2, pairs, input_map, unions, reason: str) -> CheckResult:
+def _words(steps1, steps2, pairs, input_map, unions) -> CheckResult:
     """Check the runs of every two-letter word along `pairs`, whose letters have passed.
 
     Raises BudgetExceeded above _BUDGET word runs, |pairs| * |X1|^2,
@@ -323,7 +323,7 @@ def _words(steps1, steps2, pairs, input_map, unions, reason: str) -> CheckResult
                     low1, up1, low2, up2 = config
                     side = _escape((unions1[low1], unions1[up1]), (unions2[low2], unions2[up2]))
                     if side:
-                        return CheckResult(False, reason.format(side=side), (q, (x, y)))
+                        return CheckResult(False, _COVERED.format(side=side), (q, (x, y)))
     return CheckResult(True)
 
 
@@ -399,7 +399,7 @@ def check_covering(m1: Machine, m2: Machine, pair: CoveringPair, depth: int = 2)
     result = _letters(m1, m2, pairs, xi, _reader(unions[0]), _reader(unions[1]), _COVERED)
     if not result or depth < 2:
         return result
-    return _words(_Steps(m1), _Steps(m2), pairs, xi, unions, _COVERED)
+    return _words(_Steps(m1), _Steps(m2), pairs, xi, unions)
 
 
 def _strike(cands, checks, image, rows1, eta):
@@ -531,6 +531,6 @@ def search_coverings(m1: Machine, m2: Machine, depth: int = 2, budget: int = _BU
         unions = (unions1, _Unions(tuple(image)))
         for g_values in iter_product(*choices):
             xi = dict(zip(m1.alphabet, g_values))
-            if depth < 2 or _words(*steps, pairs, xi, unions, _COVERED):
+            if depth < 2 or _words(*steps, pairs, xi, unions):
                 found.append(CoveringPair(eta_map, xi))
     return found

@@ -159,12 +159,11 @@ def _build(m1: Machine, m2: Machine, alphabet, feed, name: str) -> Machine:
         row = [feed(q2, a) for a in alphabet]
         fed = {}  # each distinct (x1, x2) -> its index
         index = [fed.setdefault(xs, len(fed)) for xs in row]
-        if not all(x1 in symbols1 and x2 in symbols2 for x1, x2 in fed):
-            for a, (x1, x2) in zip(alphabet, row):
-                if x1 not in symbols1 or x2 not in symbols2:
-                    which, x = ("first", x1) if x1 not in symbols1 else ("second", x2)
-                    where = f"letter {value_name(a)} at {value_name(q2)}"
-                    raise UnknownSymbol(f"{where} feeds unknown {which} input {value_name(x)}")
+        for (x1, x2), i in fed.items():  # in first-appearance order: the first bad pair is the first bad letter's
+            if x1 not in symbols1 or x2 not in symbols2:
+                which, x = ("first", x1) if x1 not in symbols1 else ("second", x2)
+                where = f"letter {value_name(alphabet[index.index(i)])} at {value_name(q2)}"
+                raise UnknownSymbol(f"{where} feeds unknown {which} input {value_name(x)}")
         columns.append(([(x1, m2._table[q2, x2]) for x1, x2 in fed], index))
 
     spread = {}  # m1 block mask -> block i moved to bit i * n2, where block (i, j) sits at i * n2 + j

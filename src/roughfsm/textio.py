@@ -27,18 +27,18 @@ as the symbol phi in tables.
 The readers split each line once on whitespace, cutting a comment only
 where '#' occurs, and find a token's column only when raising
 ParseError. The machine reader reads its lines in one pass. A transition
-line splits into keyword, state, input and tail text, and leaves its
-(state, input) key, the index of its tail and its line number. A tail
+line splits into keyword, state, input and tail text, and leaves the
+index of its tail and, keyed by its (state, input), its line number; a
+repeated transition is refused at its line as it is read. A tail
 read before costs one lookup; a new one is cut into its lower and upper
 member texts, by one partition when it has the writer's spacing and by
 tokens otherwise. After the pass each distinct member text is resolved to a
 block mask once; equal masks share one definable set and equal mask
-pairs one rough set. The table is then built and checked in bulk: its
-keys are the grid of states by distinct inputs, none unknown and none
-missing, when they are as many as its cells and each cell is one of
-them. Only when a bulk check fails are the transitions walked, to raise
-the first fault in document order; a repeated transition is refused at
-its line, before any fault found after it. The reader calls
+pairs one rough set. The keys are checked in bulk: they are the grid of
+states by distinct inputs, none unknown and none missing, when they are
+as many as its cells and each cell is one of them. Only when that check
+fails, or a member text is no block mask, are the transitions walked
+once, to raise the first fault in document order. The reader calls
 validate_machine only to report a shape it cannot accept.
 
 The writer renders one tail per distinct entry object and one member
@@ -57,7 +57,6 @@ from .errors import (
     NonDefinableEntry,
     NonPartition,
     ParseError,
-    RoughFsmError,
     SemanticError,
     UnknownState,
     UnknownSymbol,
@@ -158,25 +157,12 @@ def parse_machine(text: str) -> Machine:
 
     The machine line's name becomes the machine's `name`.
     """
-    keys, tail_ids, linenos = [], [], []  # per transition line read: (state, input), tail index, line number
-    try:
-        return _read_machine(text, keys, tail_ids, linenos)
-    except RoughFsmError:
-        duplicate = _first_duplicate(keys, linenos)  # refused at its line, so before any fault found after it
-        if duplicate is None:
-            raise
-        raise duplicate from None
-
-
-def _read_machine(text: str, keys: list, tail_ids: list, linenos: list) -> Machine:
-    """The machine of a document, or the first fault found reading it apart from a repeated transition.
-
-    Appends each transition line's (state, input), tail index and line number as it is read.
-    """
     name = states = inputs = None
     blocks: list[list[str]] = []
     tails = {}  # tail text -> its index in `sides`
     sides = []  # the (lower, upper) member texts of each distinct tail
+    lines = {}  # (state, input) of each transition line -> its line number
+    tail_ids = []  # per transition line, the index of its tail in `sides`
 
     for lineno, line, tokens in _rows(text, 3):
         keyword = tokens[0]
@@ -191,9 +177,13 @@ def _read_machine(text: str, keys: list, tail_ids: list, linenos: list) -> Machi
             if tail_id is None:
                 tail_id = tails[tail] = len(sides)
                 sides.append(_tail_sides(tokens, line, lineno))
-            keys.append((state, symbol))
+            # Keyed once its tail is read, so a repeated line with a malformed tail raises its ParseError.
+            first = lines.setdefault((state, symbol), lineno)
+            if first != lineno:
+                raise SemanticError(
+                    f"duplicate transition for ({state}, {symbol}) on line {lineno} (first on line {first})"
+                )
             tail_ids.append(tail_id)
-            linenos.append(lineno)
             continue
         if len(tokens) == 4:
             tokens[3:] = tokens[3].split()
@@ -247,8 +237,12 @@ def _read_machine(text: str, keys: list, tail_ids: list, linenos: list) -> Machi
             masks[members] = union_bits(space, names)
         except UnknownState:
             masks[members] = next(q for q in names if q not in space._position)
-    if not all(isinstance(bits, int) for bits in masks.values()):
-        _first_fault(space, symbols, zip(linenos, keys, tail_ids), sides, masks)  # raises at the first bad row
+    # The distinct keys are the grid, none unknown and none missing, when there are as many
+    # as distinct grid cells and each cell is one of them.
+    grid = len(lines) == len(states) * len(symbols) and all(map(lines.__contains__, product(states, symbols)))
+    if not grid or not all(isinstance(bits, int) for bits in masks.values()):
+        # Raises at the first unknown state or input or bad side, if any.
+        _first_fault(space, symbols, zip(lines.values(), lines, tail_ids), sides, masks)
     sets = {bits: DefinableSet(space, bits) for bits in set(masks.values())}
     shared = {}  # (lower mask, upper mask) -> their one RoughSet
     roughs = []  # per distinct tail
@@ -257,16 +251,8 @@ def _read_machine(text: str, keys: list, tail_ids: list, linenos: list) -> Machi
         if key not in shared:
             shared[key] = RoughSet(sets[key[0]], sets[key[1]])
         roughs.append(shared[key])
-    table = dict(zip(keys, map(roughs.__getitem__, tail_ids)))
-    if len(table) < len(keys):
-        raise _first_duplicate(keys, linenos)
-
+    table = dict(zip(lines, map(roughs.__getitem__, tail_ids)))
     alphabet = tuple(inputs)
-    # The distinct keys are the grid, none unknown and none missing, when there are as many
-    # as distinct grid cells and each cell is one of them.
-    grid = len(table) == len(states) * len(symbols) and all(map(table.__contains__, product(states, symbols)))
-    if not grid:
-        _first_fault(space, symbols, zip(linenos, keys, tail_ids), sides, masks)  # raises at an unknown state or input
     if not grid or len(symbols) < len(alphabet) or any(r.lower.bits & ~r.upper.bits for r in shared.values()):
         make_machine(space, alphabet, table, name)  # raises SemanticError with validate_machine's violations
     return Machine(space, alphabet, table, name)
@@ -288,16 +274,6 @@ def _first_fault(space, symbols, rows, sides, masks):
                 raise NonDefinableEntry(f"{side} set of ({state}, {symbol}) on line {lineno} is not a union of blocks")
             if isinstance(bits, str):
                 raise SemanticError(f"unknown state {bits} in {side} set on line {lineno}")
-
-
-def _first_duplicate(keys, linenos) -> SemanticError | None:
-    """The error for the first transition line repeating an earlier one's state and input, if any."""
-    first = {}
-    for (state, symbol), lineno in zip(keys, linenos):
-        line = first.setdefault((state, symbol), lineno)
-        if line != lineno:
-            return SemanticError(f"duplicate transition for ({state}, {symbol}) on line {lineno} (first on line {line})")
-    return None
 
 
 def serialize_machine(machine: Machine) -> str:

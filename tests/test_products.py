@@ -146,6 +146,19 @@ class TestGeneralDirect:
         with pytest.raises(UnknownSymbol, match="^letter u at q1 feeds unknown first input zz$"):
             general_direct(five_state, five_state, bad)
 
+    @pytest.mark.parametrize(
+        "decode, letter",
+        [
+            ({"u": ("a", "a"), "v": ("a", "zz"), "w": ("a", "zz")}, "v"),
+            ({"u": ("a", "zz"), "v": ("a", "a"), "w": ("a", "zz")}, "u"),
+        ],
+    )
+    def test_unknown_decode_target_names_the_first_letter_feeding_it(self, five_state, decode, letter):
+        # The letters feeding the unknown input feed one pair; the message names the first of them.
+        bad = InputBridge(("u", "v", "w"), decode)
+        with pytest.raises(UnknownSymbol, match=f"^letter {letter} at q1 feeds unknown second input zz$"):
+            general_direct(five_state, five_state, bad)
+
     def test_partial_bridge_rejected(self):
         bridge = InputBridge(("u", "v"), {"u": ("a", "a")})
         with pytest.raises(BridgeTotalityError):

@@ -211,6 +211,32 @@ class TestSemanticErrors:
         assert "duplicate transition for (q1, a) on line 6" in str(err.value)
         assert "first on line 5" in str(err.value)
 
+    def test_repeated_transition_is_refused_where_it_is_read(self, five_state_text):
+        lines = five_state_text.splitlines()
+        lines.insert(10, lines[8])  # line 9, trans q1 a, again as line 11
+
+        def outcome(lines):
+            return reader_outcome(parse_machine, "\n".join(lines) + "\n")
+
+        def unterminated(line):
+            return line.rstrip("} ")
+
+        duplicate = (SemanticError, "duplicate transition for (q1, a) on line 11 (first on line 9)", None, None)
+        # A fault read after the repeat, or found once the document is read, gives way to it.
+        assert outcome(lines[:12] + [unterminated(lines[12])] + lines[13:]) == duplicate
+        assert outcome(lines + ["trans q9 a lower { } upper { q1 q2 }"]) == duplicate
+        assert outcome(lines[:7] + lines[8:]) == (
+            SemanticError, "duplicate transition for (q1, a) on line 10 (first on line 8)", None, None
+        )
+        # A fault read before the repeat, or in the repeat's own tail, is raised first.
+        assert outcome(lines[:9] + [unterminated(lines[9])] + lines[10:]) == (
+            ParseError, "unterminated set, expected '}' (line 10, column 39)", 10, 39
+        )
+        repeat = lines[10].split(" lower ")[0] + " lower { q1 q2 upper { q1 }"
+        assert outcome(lines[:10] + [repeat] + lines[11:]) == (
+            ParseError, "invalid state name '{' (line 11, column 32)", 11, 32
+        )
+
     def test_unknown_state_or_input_in_transition(self):
         base = "machine m\nstates q1\nblock q1\ninputs a\n"
         with pytest.raises(SemanticError, match="unknown state q9 on line 5"):
